@@ -150,8 +150,8 @@ def cmd_dce(args) -> int:
 
     violations = report.anti_coincidence_violations
     if scenario.model is experiments.OutcomeModel.CONVENTIONAL_QM:
-        # silence audit: instruments with no crossing mass must never click
-        reachable = {ev.instrument.id for ev in experiments.crossing_events(scenario)}
+        # silence audit: instruments the photon cannot reach must never click
+        reachable = {ins.id for ins in experiments.reachable(scenario)}
         for name, stats in report.per_instrument.items():
             if name not in reachable and stats.count > 0:
                 print(f"invariant violation: unreachable instrument {name} clicked",
@@ -181,14 +181,15 @@ def cmd_check(args) -> int:
     report("cavity normalization", abs(q.value - 1.0), 1e-8)
 
     for t in (0.0, 0.2 * mode.a / mode.c, 5.0 * mode.a / mode.c):
-        ct = mode.c * t
+        pieces = wavestate.split_pieces(mode, t)
+        cuts = {end for p in pieces for end in (p.lo, p.hi)}
 
         def split_rho(x: np.ndarray, _t=t) -> np.ndarray:
             e, b = wavestate.split_state(mode, x, _t)
             return np.asarray(e) ** 2 + np.asarray(b) ** 2
 
-        cuts = [-ct, mode.a - ct, ct, mode.a + ct]
-        q = validation.integrate(split_rho, -ct, mode.a + ct, tol=1e-11, breakpoints=cuts)
+        q = validation.integrate(split_rho, pieces[0].lo, pieces[-1].hi, tol=1e-11,
+                                 breakpoints=cuts)
         report(f"split-state normalization at t={t:g}", abs(q.value - 1.0), 1e-8)
 
     suite = validation.identity_suite(mode, np.linspace(0.0, mode.a, 21))

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import reflection
-from .wavestate import ModeSpec
+from . import reflection, wavestate
+from .wavestate import ModeSpec, Piece
 
 __all__ = [
     "InstrumentKind",
@@ -39,7 +39,7 @@ __all__ = [
     "StatsReport",
     "crossing_events",
     "sample_trial",
-    "eg_scatter",
+    "reachable",
     "scatter_positions",
     "window",
     "run",
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _MASS_EPS = 1e-15
+_TABLE_INTERVALS = 4096  # inverse-CDF table resolution over one pulse length
 
 
 class InstrumentKind(str, Enum):
@@ -78,6 +79,9 @@ class Instrument:
     efficiency: float = 1.0
 
     def validate(self) -> None:
+        removal = () if self.removal_time is None else (self.removal_time,)
+        if not all(math.isfinite(v) for v in (self.position, self.insertion_time, *removal)):
+            raise ValueError(f"{self.id}: position and times must be finite")
         if self.insertion_time < 0:
             raise ValueError(f"{self.id}: insertion time must be non-negative")
         if self.removal_time is not None and self.removal_time <= self.insertion_time:
@@ -95,14 +99,14 @@ class Scenario:
     model: OutcomeModel = OutcomeModel.CONVENTIONAL_QM
     trials: int = 100_000
     seed: int = 0
-    phase: float = 0.0  # relative phase of the two half-selves; no observable
-    # effect on position/click statistics, carried for completeness
     tie_rule: str = "earliest-inserted"
-    mirror_counts_as_detector: bool = False
 
     def validate(self) -> None:
-        if self.mirror_distance is not None and self.mirror_distance <= self.mode.a:
-            raise ValueError("mirror distance must exceed pulse length")
+        if self.mirror_distance is not None:
+            if not math.isfinite(self.mirror_distance):
+                raise ValueError("mirror distance must be finite")
+            if self.mirror_distance <= self.mode.a:
+                raise ValueError("mirror distance must exceed pulse length")
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
         if self.seed < 0:
@@ -177,15 +181,15 @@ class StatsReport:
         return "\n".join(lines)
 
 
-def _profile_cdf(mode: ModeSpec, u: float) -> float:
-    """Fraction of one pulse profile within distance u of its leading edge."""
-    u = min(max(u, 0.0), mode.a)
-    if u == 0.0:
-        return 0.0
-    if u == mode.a:
-        return 1.0
-    k = mode.k
-    return (u - math.sin(2.0 * k * u) / (2.0 * k)) / mode.a
+def _table(mode: ModeSpec, pieces: tuple[Piece, ...], offset: float
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF table (cdf, x) of E^2 + B^2, exact at nodes that split each
+    piece of nonzero width evenly; positions are shifted by ``offset``."""
+    wide = [p for p in pieces if p.lo < p.hi]
+    m = _TABLE_INTERVALS // len(wide)
+    nodes = np.concatenate([np.linspace(p.lo, p.hi, m + 1)[:-1] for p in wide] + [[wide[-1].hi]])
+    cdf = np.asarray(wavestate.cumulative(pieces, mode.k, nodes))
+    return cdf / cdf[-1], offset + nodes
 
 
 def window(kind: str, *, a: float = 1.0, c: float = 1.0, D: Optional[float] = None,
@@ -232,6 +236,13 @@ def crossing_events(scenario: Scenario) -> list[CrossingEvent]:
     mode = scenario.mode
     a, c = mode.a, mode.c
     D = scenario.mirror_distance
+    profile = wavestate.pulse_pieces(mode, 0.0, 1)
+    whole = wavestate.cumulative(profile, mode.k, a)
+
+    def passed(u: float) -> float:
+        """Fraction of one pulse profile within distance u of its leading edge."""
+        return wavestate.cumulative(profile, mode.k, u) / whole
+
     dets = [ins for ins in scenario.instruments if ins.kind is InstrumentKind.PHOTON_DETECTOR]
 
     sweeps: list[tuple[str, Instrument, float]] = []
@@ -254,12 +265,8 @@ def crossing_events(scenario: Scenario) -> list[CrossingEvent]:
         for branch, det, t0 in chain:
             if remaining <= _MASS_EPS:
                 break
-            f_lo = _profile_cdf(mode, c * (det.insertion_time - t0))
-            f_hi = (
-                1.0
-                if det.removal_time is None
-                else _profile_cdf(mode, c * (det.removal_time - t0))
-            )
+            f_lo = passed(c * (det.insertion_time - t0))
+            f_hi = 1.0 if det.removal_time is None else passed(c * (det.removal_time - t0))
             frac = max(0.0, f_hi - f_lo)
             caught = frac * det.efficiency
             mass = 0.5 * remaining * caught
@@ -284,12 +291,6 @@ def crossing_events(scenario: Scenario) -> list[CrossingEvent]:
     return events
 
 
-@dataclass(frozen=True)
-class _GunTable:
-    x: np.ndarray
-    cdf: np.ndarray
-
-
 class _Simulator:
     """Precomputed per-scenario state shared by all trials."""
 
@@ -307,11 +308,9 @@ class _Simulator:
             if scenario.mirror_distance is None
             else (scenario.mirror_distance + mode.a / 2.0) / mode.c
         )
-        # inverse pulse-profile CDF table for click-time sampling
-        self._u_grid = np.linspace(0.0, mode.a, 4097)
-        k = mode.k
-        self._cdf_grid = (self._u_grid - np.sin(2.0 * k * self._u_grid) / (2.0 * k)) / mode.a
-        self._cdf_grid[0], self._cdf_grid[-1] = 0.0, 1.0
+        # one pulse profile on [0, a]: click-time table and free-pulse gun tables
+        self._profile = wavestate.pulse_pieces(mode, 0.0, 1)
+        self._click_cdf, self._click_u = _table(mode, self._profile, 0.0)
 
         self._gun_by_side: dict[Branch, Instrument] = {}
         for gun in self.guns:
@@ -319,55 +318,65 @@ class _Simulator:
             if side in self._gun_by_side:
                 raise ValueError("at most one electron gun per side is supported")
             self._gun_by_side[side] = gun
-        self._gun_tables = {gun.id: self._build_gun_table(gun) for gun in self.guns}
+        self._gun_tables = {gun.id: self._gun_table(gun) for gun in self.guns}
+
+        # reachable: detectors with crossing mass, guns whose shot overlaps the pulse
+        self._first_event: dict[str, CrossingEvent] = {}
+        for ev in self.events:
+            self._first_event.setdefault(ev.instrument.id, ev)
+        if self.guns:
+            self.reachable = [g for g in self.guns if self._gun_tables[g.id] is not None]
+        else:
+            self.reachable = [ev.instrument for ev in self._first_event.values()]
+        # the comparator's pick under the tie rule, flagged when the rules disagree
+        self._preferred: Optional[Instrument] = None
+        self._preferred_flag: Optional[str] = None
+        if self.reachable:
+            by_insertion = min(self.reachable, key=lambda i: (i.insertion_time, i.id))
+            by_distance = min(self.reachable, key=lambda i: (abs(i.position), i.id))
+            earliest = scenario.tie_rule == "earliest-inserted"
+            self._preferred = by_insertion if earliest else by_distance
+            if by_insertion is not by_distance:
+                self._preferred_flag = "model-undetermined"
 
     # -- electron-gun scatter sampling -------------------------------------
 
-    def _build_gun_table(self, gun: Instrument) -> Optional[_GunTable]:
-        mode = self.mode
-        a, c = mode.a, mode.c
-        t = gun.insertion_time
-        p = gun.position
-        D = self.scenario.mirror_distance
-        if p >= 0 and D is not None:
-            t_lo, t_hi = window("reflection_shots", a=a, c=c, D=D)
-            if t_lo <= t <= t_hi:
-                s = c * t - (D - a / 2.0)
-                return self._reflection_table(s, D)
-            if t < t_lo:
-                lead = c * t - a / 2.0  # incident pulse, source frame
-                if (p - a / 2.0) / c <= t:
-                    return self._free_table(lead)
-                return None
-            # detached reflected pulse moving left
-            lead = 2.0 * D - c * t - a / 2.0
-            if lead <= p <= lead + a:
-                return self._free_table(lead)
-            return None
-        # free pulse on either side of the source
-        lead = (c * t - a / 2.0) if p >= 0 else (-c * t - a / 2.0)
-        if lead <= p <= lead + a:
-            return self._free_table(lead)
-        return None
+    def _gun_table(self, gun: Instrument) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Scatter table of the pulse on the gun's side at its shot time, or None.
 
-    def _free_table(self, left_edge: float) -> _GunTable:
-        return _GunTable(x=left_edge + self._u_grid, cdf=self._cdf_grid.copy())
-
-    def _reflection_table(self, s: float, D: float) -> _GunTable:
+        The pieces end at the leading edge of a free pulse, at the mirror during
+        reflection; the gun overlaps when within one pulse length behind that end.
+        """
         mode = self.mode
         a = mode.a
-        lo = -max(s, a - s)
-        x_d = reflection.inner_discontinuity_position(a, s)
-        if 0.0 < s < a:
-            xs = np.concatenate(
-                [np.linspace(lo, x_d, 2049), np.linspace(x_d, 0.0, 2049)[1:]]
-            )
+        ct = mode.c * gun.insertion_time
+        D = self.scenario.mirror_distance
+        # reflection moment of the right half-self; negative before mirror contact
+        s = -1.0 if D is None or gun.position < 0 else ct - (D - a / 2.0)
+        pieces = self._profile
+        if 0.0 <= s <= a:
+            offset, pieces = D, reflection.reflection_pieces(mode, s)
+        elif s > a:
+            offset = 2.0 * D - ct - a / 2.0  # detached reflected pulse moving left
+        elif gun.position < 0:
+            offset = -ct - a / 2.0
         else:
-            xs = np.linspace(lo, 0.0, 4097)
-        rho = np.asarray(reflection.density(mode, s, xs))
-        cdf = np.concatenate([[0.0], np.cumsum((rho[1:] + rho[:-1]) * np.diff(xs) / 2.0)])
-        cdf /= cdf[-1]
-        return _GunTable(x=xs + D, cdf=cdf)
+            offset = ct - a / 2.0  # incident pulse, source frame
+        end = offset + pieces[-1].hi
+        if not end - a <= gun.position <= end:
+            return None
+        return _table(mode, pieces, offset)
+
+    def _scatter(self, gun: Instrument, rng: np.random.Generator,
+                 flag: Optional[str] = None) -> TrialOutcome:
+        cdf, x = self._gun_tables[gun.id]
+        return TrialOutcome(
+            clicked=gun.id,
+            click_time=gun.insertion_time,
+            scatter_position=float(np.interp(rng.random(), cdf, x)),
+            resolved_branch=Branch.LEFT if gun.position < 0 else Branch.RIGHT,
+            flag=flag,
+        )
 
     # -- per-trial sampling -------------------------------------------------
 
@@ -376,17 +385,15 @@ class _Simulator:
 
     def trial(self, trial_index: int) -> TrialOutcome:
         rng = self._rng(trial_index)
-        if self.guns:
-            if self.scenario.model is OutcomeModel.PREFERRED_WAY:
-                return self._gun_trial_preferred(rng)
-            return self._gun_trial(rng)
         if self.scenario.model is OutcomeModel.PREFERRED_WAY:
             return self._preferred_trial(rng)
+        if self.guns:
+            return self._gun_trial(rng)
         return self._qm_trial(rng)
 
     def _sample_click_time(self, ev: CrossingEvent, rng: np.random.Generator) -> float:
         q = rng.uniform(ev.frac_lo, ev.frac_hi)
-        u = float(np.interp(q, self._cdf_grid, self._u_grid))
+        u = float(np.interp(q, self._click_cdf, self._click_u))
         return ev.sweep_t0 + u / self.mode.c
 
     def _branch_label(self, ev: CrossingEvent) -> Branch:
@@ -413,29 +420,17 @@ class _Simulator:
         return TrialOutcome()
 
     def _preferred_trial(self, rng: np.random.Generator) -> TrialOutcome:
-        first_event: dict[str, CrossingEvent] = {}
-        for ev in self.events:
-            first_event.setdefault(ev.instrument.id, ev)
-        reachable = [ev.instrument for ev in first_event.values()]
-        if self.scenario.mirror_counts_as_detector and self.scenario.mirror_distance is not None:
-            # the photon routes to the mirror path at release
-            reachable = [ins for ins in reachable if ins.position >= 0]
-        if not reachable:
+        chosen = self._preferred
+        if chosen is None:
             return TrialOutcome()
-        by_insertion = min(reachable, key=lambda i: (i.insertion_time, i.id))
-        by_distance = min(reachable, key=lambda i: (abs(i.position), i.id))
-        chosen = by_insertion if self.scenario.tie_rule == "earliest-inserted" else by_distance
-        flag = (
-            "model-undetermined"
-            if len(reachable) > 1 and by_insertion is not by_distance
-            else None
-        )
-        ev = first_event[chosen.id]
+        if self.guns:
+            return self._scatter(chosen, rng, self._preferred_flag)
+        ev = self._first_event[chosen.id]
         return TrialOutcome(
             clicked=chosen.id,
             click_time=self._sample_click_time(ev, rng),
             resolved_branch=self._branch_label(ev),
-            flag=flag,
+            flag=self._preferred_flag,
         )
 
     def _gun_trial(self, rng: np.random.Generator) -> TrialOutcome:
@@ -443,37 +438,9 @@ class _Simulator:
         gun = self._gun_by_side.get(side)
         if gun is None:
             return TrialOutcome(resolved_branch=side)
-        table = self._gun_tables[gun.id]
-        if table is None:
+        if self._gun_tables[gun.id] is None:
             return TrialOutcome(resolved_branch=side, flag="no-overlap")
-        x = float(np.interp(rng.random(), table.cdf, table.x))
-        return TrialOutcome(
-            clicked=gun.id,
-            click_time=gun.insertion_time,
-            scatter_position=x,
-            resolved_branch=side,
-        )
-
-    def _gun_trial_preferred(self, rng: np.random.Generator) -> TrialOutcome:
-        live = [g for g in self.guns if self._gun_tables[g.id] is not None]
-        if not live:
-            return TrialOutcome()
-        by_insertion = min(live, key=lambda g: (g.insertion_time, g.id))
-        by_distance = min(live, key=lambda g: (abs(g.position), g.id))
-        chosen = by_insertion if self.scenario.tie_rule == "earliest-inserted" else by_distance
-        flag = (
-            "model-undetermined" if len(live) > 1 and by_insertion is not by_distance else None
-        )
-        table = self._gun_tables[chosen.id]
-        x = float(np.interp(rng.random(), table.cdf, table.x))
-        side = Branch.LEFT if chosen.position < 0 else Branch.RIGHT
-        return TrialOutcome(
-            clicked=chosen.id,
-            click_time=chosen.insertion_time,
-            scatter_position=x,
-            resolved_branch=side,
-            flag=flag,
-        )
+        return self._scatter(gun, rng)
 
 
 def sample_trial(scenario: Scenario, trial_index: int) -> TrialOutcome:
@@ -481,9 +448,10 @@ def sample_trial(scenario: Scenario, trial_index: int) -> TrialOutcome:
     return _Simulator(scenario).trial(trial_index)
 
 
-def eg_scatter(scenario: Scenario, trial_index: int) -> TrialOutcome:
-    """One electron-gun trial; alias of ``sample_trial`` for gun scenarios."""
-    return _Simulator(scenario).trial(trial_index)
+def reachable(scenario: Scenario) -> list[Instrument]:
+    """Instruments the photon can reach: detectors with crossing mass, guns whose
+    shot overlaps the pulse.  The comparator model picks among these."""
+    return _Simulator(scenario).reachable
 
 
 def scatter_positions(scenario: Scenario, gun_id: str, n: int, seed: int = 0) -> np.ndarray:
@@ -492,12 +460,12 @@ def scatter_positions(scenario: Scenario, gun_id: str, n: int, seed: int = 0) ->
     Conditions on the photon being on the gun's side; raises if the gun's
     shot does not overlap the pulse.
     """
-    sim = _Simulator(scenario)
-    table = sim._gun_tables.get(gun_id)
+    table = _Simulator(scenario)._gun_tables.get(gun_id)
     if table is None:
         raise ValueError(f"gun {gun_id!r} has no pulse overlap at its shot time")
+    cdf, x = table
     rng = np.random.default_rng(seed)
-    return np.interp(rng.random(n), table.cdf, table.x)
+    return np.interp(rng.random(n), cdf, x)
 
 
 def run_trials(scenario: Scenario) -> list[TrialOutcome]:

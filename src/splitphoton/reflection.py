@@ -7,6 +7,9 @@ propagated by the trailing edge since first contact (t = s/c), running from
 next to the mirror while the trailing part keeps running; in the second
 stage (s >= a/2) the running region holds the already-reflected front.
 
+At every s the field is two ``wavestate.Piece``s (``reflection_pieces``):
+the running wave on ``domains(a, s).rw``, the standing wave on ``.sw``.
+
 Field values carry the 1/sqrt(a) prefactor so that E^2 + B^2 integrates
 to 1 over the instantaneous support.  The energy ledger is reported in
 the bare (pre-normalization) convention, where the grand total equals a.
@@ -14,22 +17,22 @@ the bare (pre-normalization) convention, where the grand total equals a.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 import numpy as np
 
-from .wavestate import FieldSample, ModeSpec
+from .wavestate import FieldSample, ModeSpec, Piece, derivative, evaluate, limits
 
 __all__ = [
-    "Stage",
-    "ReflectionPhase",
     "DomainSplit",
     "Quantity",
     "JumpKind",
     "DiscontinuityRecord",
     "EnergyLedger",
+    "reflection_pieces",
     "reflect_field",
     "density",
     "domains",
@@ -39,24 +42,6 @@ __all__ = [
 ]
 
 ArrayLike = Union[float, np.ndarray]
-
-
-class Stage(str, Enum):
-    FIRST = "first"
-    SECOND = "second"
-
-
-@dataclass(frozen=True)
-class ReflectionPhase:
-    """Moment of the reflection, s in [0, a] with its stage."""
-
-    s: float
-    stage: Stage
-
-    @classmethod
-    def at(cls, mode: ModeSpec, s: float) -> "ReflectionPhase":
-        _check_s(mode, s)
-        return cls(s=s, stage=Stage.FIRST if s <= mode.a / 2 else Stage.SECOND)
 
 
 @dataclass(frozen=True)
@@ -128,82 +113,35 @@ def inner_discontinuity_position(a: float, s: float) -> float:
     return -min(s, a - s)
 
 
-def reflect_field(mode: ModeSpec, s: float, x: ArrayLike) -> FieldSample:
-    """Instantaneous (E, B) of the reflecting pulse; zero past the mirror.
+def reflection_pieces(mode: ModeSpec, s: float) -> tuple[Piece, Piece]:
+    """Running-wave and standing-wave pieces at moment s, prefactor 1/sqrt(a) included.
 
-    The second-stage running-wave signs are E = -sin k(x+s), B = +sin k(x+s),
-    which keeps both fields continuous at the RW/SW border for every mode.
+    SW: E = -2 sin(kx) cos(ks), B = 2 cos(kx) sin(ks).  RW: E = B = -sin k(x-s)
+    in the first stage; E = -sin k(x+s), B = +sin k(x+s) in the second, which
+    keeps both fields continuous at the RW/SW border for every mode.
     """
-    _check_s(mode, s)
-    x = np.asarray(x, dtype=float)
     a, k = mode.a, mode.k
-    pref = 1.0 / np.sqrt(a)
-    dom = domains(a, s)
-    rw_lo, rw_hi = dom.rw
-    sw_lo, _ = dom.sw
-
-    in_sw = (x >= sw_lo) & (x <= 0.0)
-    in_rw = (x >= rw_lo) & (x < sw_lo)
-
-    e_sw = -2.0 * np.sin(k * x) * np.cos(k * s)
-    b_sw = 2.0 * np.cos(k * x) * np.sin(k * s)
+    pref = 1.0 / math.sqrt(a)
+    dom = domains(a, s)  # also rejects s outside [0, a]
+    ks = k * s
     if s <= a / 2:
-        e_rw = -np.sin(k * (x - s))
-        b_rw = -np.sin(k * (x - s))
+        rw = Piece(dom.rw[0], dom.sw[0], -pref, -ks, -pref, -ks)
     else:
-        e_rw = -np.sin(k * (x + s))
-        b_rw = np.sin(k * (x + s))
+        rw = Piece(dom.rw[0], dom.sw[0], -pref, ks, pref, ks)
+    sw = Piece(dom.sw[0], 0.0, -2.0 * pref * math.cos(ks), 0.0,
+               2.0 * pref * math.sin(ks), 0.5 * math.pi)
+    return rw, sw
 
-    e = pref * np.select([in_sw, in_rw], [e_sw, e_rw], default=0.0)
-    b = pref * np.select([in_sw, in_rw], [b_sw, b_rw], default=0.0)
-    if e.ndim == 0:
-        return FieldSample(float(e), float(b))
-    return FieldSample(e, b)
+
+def reflect_field(mode: ModeSpec, s: float, x: ArrayLike) -> FieldSample:
+    """Instantaneous (E, B) of the reflecting pulse; zero past the mirror."""
+    return evaluate(reflection_pieces(mode, s), mode.k, x)
 
 
 def density(mode: ModeSpec, s: float, x: ArrayLike) -> ArrayLike:
-    """Probability density E^2 + B^2 of the reflecting pulse, in closed form."""
-    _check_s(mode, s)
-    x = np.asarray(x, dtype=float)
-    a, k = mode.a, mode.k
-    dom = domains(a, s)
-    rw_lo, _ = dom.rw
-    sw_lo, _ = dom.sw
-
-    in_sw = (x >= sw_lo) & (x <= 0.0)
-    in_rw = (x >= rw_lo) & (x < sw_lo)
-
-    shift = -s if s <= a / 2 else s
-    rho_rw = (2.0 / a) * np.sin(k * (x + shift)) ** 2
-    rho_sw = (4.0 / a) * (
-        np.sin(k * x) ** 2 * np.cos(k * s) ** 2 + np.cos(k * x) ** 2 * np.sin(k * s) ** 2
-    )
-    rho = np.select([in_sw, in_rw], [rho_sw, rho_rw], default=0.0)
-    if rho.ndim == 0:
-        return float(rho)
-    return rho
-
-
-def _one_sided_derivatives(mode: ModeSpec, s: float, x: float, side: str) -> tuple[float, float]:
-    # Analytic dE/dx and dB/dx from the branch occupying the given side of x.
-    a, k = mode.a, mode.k
-    pref = 1.0 / np.sqrt(a)
-    dom = domains(a, s)
-    rw_lo, rw_hi = dom.rw
-    sw_lo, _ = dom.sw
-    probe = x - 1e-12 if side == "left" else x + 1e-12
-    if probe > 0.0 or probe < rw_lo:
-        return 0.0, 0.0
-    if probe >= sw_lo:
-        de = -2.0 * k * np.cos(k * x) * np.cos(k * s)
-        db = -2.0 * k * np.sin(k * x) * np.sin(k * s)
-    elif s <= a / 2:
-        de = -k * np.cos(k * (x - s))
-        db = -k * np.cos(k * (x - s))
-    else:
-        de = -k * np.cos(k * (x + s))
-        db = k * np.cos(k * (x + s))
-    return pref * de, pref * db
+    """Probability density E^2 + B^2 of the reflecting pulse."""
+    e, b = reflect_field(mode, s, x)
+    return e * e + b * b
 
 
 def discontinuities(mode: ModeSpec, s: float) -> list[DiscontinuityRecord]:
@@ -212,28 +150,27 @@ def discontinuities(mode: ModeSpec, s: float) -> list[DiscontinuityRecord]:
     For 0 < s < a there are the two co-located inner derivative jumps at
     -min(s, a-s), derivative kinks at the far (moving) edge, and the
     B-value jump at the mirror surface.  At s in {0, a} only the edge and
-    mirror records remain.
+    mirror records remain.  Each jump is the right limit minus the left
+    limit at a piece endpoint.
     """
-    _check_s(mode, s)
-    a, k = mode.a, mode.k
-    pref = 1.0 / np.sqrt(a)
+    pieces = reflection_pieces(mode, s)
+    k = mode.k
+    slopes = derivative(pieces, k)
+    rw, sw = pieces
     records: list[DiscontinuityRecord] = []
 
-    if 0.0 < s < a:
-        x_d = inner_discontinuity_position(a, s)
-        de_l, db_l = _one_sided_derivatives(mode, s, x_d, "left")
-        de_r, db_r = _one_sided_derivatives(mode, s, x_d, "right")
-        records.append(DiscontinuityRecord(x_d, Quantity.DE_DX, de_r - de_l, JumpKind.INNER))
-        records.append(DiscontinuityRecord(x_d, Quantity.DB_DX, db_r - db_l, JumpKind.INNER))
+    def slope_jumps(x: float, kind: JumpKind) -> None:
+        left, right = limits(slopes, k, x)
+        records.append(DiscontinuityRecord(x, Quantity.DE_DX, right.E - left.E, kind))
+        records.append(DiscontinuityRecord(x, Quantity.DB_DX, right.B - left.B, kind))
 
-    x_edge = domains(a, s).rw[0]
-    de_in, db_in = _one_sided_derivatives(mode, s, x_edge, "right")
-    records.append(DiscontinuityRecord(x_edge, Quantity.DE_DX, de_in, JumpKind.EDGE))
-    records.append(DiscontinuityRecord(x_edge, Quantity.DB_DX, db_in, JumpKind.EDGE))
-
+    if 0.0 < s < mode.a:
+        slope_jumps(sw.lo, JumpKind.INNER)
+    slope_jumps(rw.lo, JumpKind.EDGE)
     # Surface current on the mirror: B jumps from its x -> 0- value to zero.
-    b_surface = pref * 2.0 * np.sin(k * s)
-    records.append(DiscontinuityRecord(0.0, Quantity.B_VALUE, -b_surface, JumpKind.MIRROR_SURFACE))
+    left, right = limits(pieces, k, 0.0)
+    records.append(DiscontinuityRecord(0.0, Quantity.B_VALUE, right.B - left.B,
+                                       JumpKind.MIRROR_SURFACE))
     return records
 
 

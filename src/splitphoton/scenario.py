@@ -29,7 +29,6 @@ Format::
     seed = 0
     source_blocking = false
     tie_rule = earliest-inserted
-    phase = 0.0
 
 Unknown sections or keys are rejected with the offending line number.
 """
@@ -79,7 +78,6 @@ _RUN_KEYS = {
     "seed": int,
     "source_blocking": bool,
     "tie_rule": str,
-    "phase": float,
 }
 _SECTION_KEYS = {
     "mode": _MODE_KEYS,
@@ -175,7 +173,6 @@ def parse_scenario(text: str) -> Scenario:
         model=model,
         trials=run_data.get("trials", 100_000),
         seed=run_data.get("seed", 0),
-        phase=run_data.get("phase", 0.0),
         tie_rule=run_data.get("tie_rule", "earliest-inserted"),
     )
     try:
@@ -215,7 +212,6 @@ def serialize_scenario(scenario: Scenario) -> str:
         f"seed = {scenario.seed}",
         f"source_blocking = {str(scenario.source_blocking).lower()}",
         f"tie_rule = {scenario.tie_rule}",
-        f"phase = {scenario.phase!r}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -2,8 +2,11 @@
 
 Covers the trapped standing-wave eigenmode, the post-release pair of
 counter-propagating length-``a`` pulses, and the kinematic bookkeeping
-(non-locality range, mirror timing).  Everything is closed-form; all
-field evaluators are pure functions vectorized over position.
+(non-locality range, mirror timing).  Everything is closed-form.
+
+Every field regime is a short tuple of sinusoid ``Piece``s; one evaluator,
+derivative rule, one-sided ``limits`` and exact ``cumulative`` integral of
+E^2 + B^2 serve them all, here and in ``reflection``.
 
 Units are normalized: lengths in units of the cavity length and times in
 units of cavity-length / wave-speed (defaults a=1, c=1).  The amplitude
@@ -13,6 +16,7 @@ making E^2 + B^2 a true probability density for the photon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -21,7 +25,15 @@ import numpy as np
 __all__ = [
     "ModeSpec",
     "FieldSample",
+    "Piece",
     "RangeReport",
+    "evaluate",
+    "derivative",
+    "limits",
+    "cumulative",
+    "eigenmode_pieces",
+    "pulse_pieces",
+    "split_pieces",
     "eigenmode",
     "boundary_check",
     "split_state",
@@ -41,12 +53,12 @@ class ModeSpec:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ValueError("cavity length a must be positive")
+        if not (self.a > 0 and math.isfinite(self.a)):
+            raise ValueError("cavity length a must be positive and finite")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ValueError("mode index n must be a positive integer")
-        if not self.c > 0:
-            raise ValueError("wave speed c must be positive")
+        if not (self.c > 0 and math.isfinite(self.c)):
+            raise ValueError("wave speed c must be positive and finite")
 
     @property
     def k(self) -> float:
@@ -75,19 +87,115 @@ class RangeReport(NamedTuple):
     centers_gap: float
 
 
+class Piece(NamedTuple):
+    """E = e_amp sin(kx + e_phase), B = b_amp sin(kx + b_phase) on [lo, hi)."""
+
+    lo: float
+    hi: float
+    e_amp: float
+    e_phase: float
+    b_amp: float
+    b_phase: float
+
+
+def evaluate(pieces: tuple[Piece, ...], k: float, x: ArrayLike) -> FieldSample:
+    """Fields of a piece table at x; zero outside the pieces, last piece closed."""
+    x = np.asarray(x, dtype=float)
+    e = np.zeros(x.shape)
+    b = np.zeros(x.shape)
+    kx = k * x
+    last = len(pieces) - 1
+    for i, p in enumerate(pieces):
+        inside = (x >= p.lo) & ((x <= p.hi) if i == last else (x < p.hi))
+        arg = kx[inside]
+        e[inside] = p.e_amp * np.sin(arg + p.e_phase)
+        b[inside] = p.b_amp * np.sin(arg + p.b_phase)
+    if e.ndim == 0:
+        return FieldSample(float(e), float(b))
+    return FieldSample(e, b)
+
+
+def derivative(pieces: tuple[Piece, ...], k: float) -> tuple[Piece, ...]:
+    """Pieces of dE/dx and dB/dx: each sinusoid's amplitude times k, phase plus pi/2."""
+    quarter = 0.5 * math.pi
+    return tuple(
+        Piece(p.lo, p.hi, k * p.e_amp, p.e_phase + quarter, k * p.b_amp, p.b_phase + quarter)
+        for p in pieces
+    )
+
+
+def limits(pieces: tuple[Piece, ...], k: float, x: float) -> tuple[FieldSample, FieldSample]:
+    """Left and right limits of the fields at x; a zero-width piece supplies neither."""
+    left = right = FieldSample(0.0, 0.0)
+    for p in pieces:
+        value = FieldSample(p.e_amp * math.sin(k * x + p.e_phase),
+                            p.b_amp * math.sin(k * x + p.b_phase))
+        if p.lo < x <= p.hi:
+            left = value
+        if p.lo <= x < p.hi:
+            right = value
+    return left, right
+
+
+def cumulative(pieces: tuple[Piece, ...], k: float, x: ArrayLike) -> ArrayLike:
+    """Exact integral of E^2 + B^2 from the start of the pieces up to x.
+
+    Uses the antiderivative of amp^2 sin^2(kx + phase),
+    amp^2/2 * (x - sin(2(kx + phase)) / (2k)).
+    """
+    x = np.asarray(x, dtype=float)
+    total = np.zeros(x.shape)
+    for p in pieces:
+        u = np.clip(x, p.lo, p.hi)
+        for amp, phase in ((p.e_amp, p.e_phase), (p.b_amp, p.b_phase)):
+            swing = np.sin(2.0 * (k * u + phase)) - math.sin(2.0 * (k * p.lo + phase))
+            total += 0.5 * amp * amp * ((u - p.lo) - swing / (2.0 * k))
+    if total.ndim == 0:
+        return float(total)
+    return total
+
+
+def eigenmode_pieces(mode: ModeSpec, t: float) -> tuple[Piece]:
+    """The trapped eigenmode at time t: one standing-wave piece on [0, a]."""
+    amp = mode.amplitude
+    wt = mode.omega * t
+    return (Piece(0.0, mode.a, amp * math.cos(wt), 0.0, amp * math.sin(wt), 0.5 * math.pi),)
+
+
+def pulse_pieces(mode: ModeSpec, lo: float, direction: int) -> tuple[Piece]:
+    """One half-amplitude pulse (A/2) sin(k(x - lo)) on [lo, lo + a].
+
+    B = direction * E: +1 for a right-moving pulse, -1 for a left-moving one.
+    """
+    half = 0.5 * mode.amplitude
+    phase = -mode.k * lo
+    return (Piece(lo, lo + mode.a, half, phase, direction * half, phase),)
+
+
+def split_pieces(mode: ModeSpec, t: float) -> tuple[Piece, ...]:
+    """Pieces of the split state: pulses on [-ct, a - ct] (left) and [ct, a + ct] (right).
+
+    While the pulses overlap, their sum on [ct, a - ct] is the standing wave
+    E = A cos(kct) sin(kx), B = -A sin(kct) cos(kx).
+    """
+    if t < 0:
+        raise ValueError("time must be non-negative after release")
+    ct = mode.c * t
+    (left,) = pulse_pieces(mode, -ct, -1)
+    (right,) = pulse_pieces(mode, ct, 1)
+    if left.hi <= right.lo:
+        return (left, right)
+    amp, kct = mode.amplitude, mode.k * ct
+    both = Piece(ct, left.hi, amp * math.cos(kct), 0.0, -amp * math.sin(kct), 0.5 * math.pi)
+    return (left._replace(hi=ct), both, right._replace(lo=left.hi))
+
+
 def eigenmode(mode: ModeSpec, x: ArrayLike, t: float) -> FieldSample:
     """Trapped cavity eigenmode; zero outside [0, a].
 
     E = A sin(kx) cos(wt), B = A cos(kx) sin(wt) with A = sqrt(2/a).
     """
-    x = np.asarray(x, dtype=float)
-    inside = (x >= 0.0) & (x <= mode.a)
-    amp = mode.amplitude
-    e = np.where(inside, amp * np.sin(mode.k * x) * np.cos(mode.omega * t), 0.0)
-    b = np.where(inside, amp * np.cos(mode.k * x) * np.sin(mode.omega * t), 0.0)
-    if e.ndim == 0:
-        return FieldSample(float(e), float(b))
-    return FieldSample(e, b)
+    return evaluate(eigenmode_pieces(mode, t), mode.k, x)
 
 
 def boundary_check(mode: ModeSpec) -> tuple[float, float]:
@@ -103,12 +211,6 @@ def boundary_check(mode: ModeSpec) -> tuple[float, float]:
     return float(e_res), float(b_res)
 
 
-def _truncated_sine(mode: ModeSpec, u: np.ndarray) -> np.ndarray:
-    # One length-a sine arch, zero outside [0, a]; continuous at its edges.
-    inside = (u >= 0.0) & (u <= mode.a)
-    return np.where(inside, np.sin(mode.k * u), 0.0)
-
-
 def split_state(mode: ModeSpec, x: ArrayLike, t: float) -> FieldSample:
     """Post-release split state: two counter-propagating truncated pulses.
 
@@ -116,17 +218,7 @@ def split_state(mode: ModeSpec, x: ArrayLike, t: float) -> FieldSample:
     with g(u) = sin(ku) on [0, a] and zero elsewhere.  At t = 0 this
     coincides pointwise with ``eigenmode`` and stays normalized for all t.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative after release")
-    x = np.asarray(x, dtype=float)
-    half = 0.5 * mode.amplitude
-    g_right = _truncated_sine(mode, x - mode.c * t)
-    g_left = _truncated_sine(mode, x + mode.c * t)
-    e = half * (g_right + g_left)
-    b = half * (g_right - g_left)
-    if e.ndim == 0:
-        return FieldSample(float(e), float(b))
-    return FieldSample(e, b)
+    return evaluate(split_pieces(mode, t), mode.k, x)
 
 
 def nonlocality_range(a: float, c: float, t: float) -> RangeReport:

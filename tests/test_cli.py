@@ -1,7 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from splitphoton.cli import main
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 SCENARIO = """\
 [mirror]
@@ -113,6 +117,24 @@ class TestDce:
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["dce", str(tmp_path / "nope.txt")]) == 1
+
+    @pytest.mark.parametrize("model", ["conventional-qm", "preferred-way"])
+    def test_silence_audit_counts_guns_as_reachable(self, tmp_path, model, capsys):
+        out = tmp_path / "guns.csv"
+        path = os.path.join(SCENARIOS, "two_guns.txt")
+        code = main(["dce", path, "--model", model, "--trials", "300", "--out", str(out)])
+        assert code == 0
+        assert "invariant violation" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["conventional-qm", "preferred-way"])
+    def test_unreachable_detector_stays_silent(self, tmp_path, model, capsys):
+        out = tmp_path / "late.csv"
+        path = os.path.join(SCENARIOS, "late_insertion.txt")
+        code = main(["dce", path, "--model", model, "--trials", "300", "--out", str(out)])
+        assert code == 0
+        assert "D1: 0 clicks" in capsys.readouterr().out
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 300 and all(row.split(",")[1] == "" for row in rows)
 
 
 class TestCheck:

@@ -10,7 +10,7 @@ from splitphoton.experiments import (
     Scenario,
     aggregate,
     crossing_events,
-    eg_scatter,
+    reachable,
     run,
     run_trials,
     sample_trial,
@@ -246,9 +246,25 @@ class TestElectronGuns:
         expected = np.diff([anti(e) for e in edges]) * len(xs)
         assert chisquare(observed, expected).pvalue > 0.01
 
-    def test_eg_scatter_alias(self):
-        sc = Scenario(mode=MODE, instruments=[gun("EG", -3.0, 3.0)], trials=10, seed=2)
-        assert eg_scatter(sc, 4) == sample_trial(sc, 4)
+    def test_shot_before_mirror_contact_is_free_space(self):
+        # pulse on [2.5, 3.5] at t = 3, still 1.5 short of the mirror: a gun
+        # at x = 1 misses it exactly as it would without a mirror
+        shot = gun("EG", 1.0, 3.0)
+        mirrored = Scenario(mode=MODE, mirror_distance=5.0, instruments=[shot],
+                            trials=200, seed=1)
+        free = Scenario(mode=MODE, instruments=[shot], trials=200, seed=1)
+        outcomes = run_trials(mirrored)
+        assert outcomes == run_trials(free)
+        right = [o for o in outcomes if o.resolved_branch is Branch.RIGHT]
+        assert right and all(o.flag == "no-overlap" and o.clicked is None for o in right)
+        assert reachable(mirrored) == []
+        with pytest.raises(ValueError, match="no pulse overlap"):
+            scatter_positions(mirrored, "EG", 10)
+
+    def test_shot_before_mirror_contact_scatters_on_incident_pulse(self):
+        sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[gun("EG", 3.2, 3.0)])
+        xs = scatter_positions(sc, "EG", 2000, seed=5)
+        assert xs.min() >= 2.5 and xs.max() <= 3.5
 
 
 class TestScenarioValidation:
@@ -266,6 +282,23 @@ class TestScenarioValidation:
         sc = Scenario(mode=MODE, instruments=[detector("A", 3.0), gun("B", -3.0, 3.0)])
         with pytest.raises(ValueError, match="mixing"):
             sc.validate()
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario(mode=MODE, mirror_distance=float("nan")),
+            Scenario(mode=MODE, mirror_distance=float("inf")),
+            Scenario(mode=MODE, instruments=[detector("A", float("nan"))]),
+            Scenario(mode=MODE, instruments=[gun("G", float("inf"), 3.0)]),
+            Scenario(mode=MODE, instruments=[detector("A", 3.0, insertion=float("nan"))]),
+            Scenario(mode=MODE, instruments=[detector("A", 3.0, insertion=float("inf"))]),
+            Scenario(mode=MODE, instruments=[detector("A", 3.0, removal=float("nan"))]),
+            Scenario(mode=MODE, instruments=[detector("A", 3.0, removal=float("inf"))]),
+        ],
+    )
+    def test_non_finite_rejected(self, scenario):
+        with pytest.raises(ValueError, match="finite"):
+            scenario.validate()
 
     def test_bad_removal(self):
         with pytest.raises(ValueError, match="removal"):

@@ -13,10 +13,13 @@ from splitphoton.reflection import (
     energy_ledger,
     inner_discontinuity_position,
     reflect_field,
+    reflection_pieces,
 )
 from splitphoton.validation import integrate
+from splitphoton.wavestate import cumulative, derivative, limits
 
 MODE = ModeSpec()
+LENGTHS = st.sampled_from([1e-3, 1.0, 1e3])
 
 
 def _branch_values(mode, s, x, branch):
@@ -100,23 +103,47 @@ class TestReflectField:
         with pytest.raises(ValueError):
             reflect_field(MODE, 1.1, -0.5)
 
+    # Tolerances below are in units of the field prefactor 1/sqrt(a).
     @settings(max_examples=60, deadline=None)
-    @given(s=st.floats(1e-6, 1.0 - 1e-6), n=st.integers(1, 4))
-    def test_continuity_at_rw_sw_border(self, s, n):
-        mode = ModeSpec(n=n)
-        border = domains(1.0, s).sw[0]
+    @given(frac=st.floats(1e-6, 1.0 - 1e-6), n=st.integers(1, 64), a=LENGTHS)
+    def test_continuity_at_rw_sw_border(self, frac, n, a):
+        mode = ModeSpec(a=a, n=n)
+        s = frac * a
+        tol = 1e-12 / np.sqrt(a)
+        border = domains(a, s).sw[0]
         e_rw, b_rw = _branch_values(mode, s, border, "rw")
         e_sw, b_sw = _branch_values(mode, s, border, "sw")
-        assert abs(e_rw - e_sw) < 1e-12
-        assert abs(b_rw - b_sw) < 1e-12
+        assert abs(e_rw - e_sw) < tol
+        assert abs(b_rw - b_sw) < tol
 
     @settings(max_examples=40, deadline=None)
-    @given(s=st.floats(1e-6, 1.0 - 1e-6), n=st.integers(1, 3))
-    def test_far_edge_continuity(self, s, n):
-        mode = ModeSpec(n=n)
-        edge = domains(1.0, s).rw[0]
+    @given(frac=st.floats(1e-6, 1.0 - 1e-6), n=st.integers(1, 64), a=LENGTHS)
+    def test_far_edge_continuity(self, frac, n, a):
+        mode = ModeSpec(a=a, n=n)
+        s = frac * a
+        tol = 1e-12 / np.sqrt(a)
+        edge = domains(a, s).rw[0]
         e_in, b_in = _branch_values(mode, s, edge, "rw")
-        assert abs(e_in) < 1e-12 and abs(b_in) < 1e-12
+        assert abs(e_in) < tol and abs(b_in) < tol
+        assert reflect_field(mode, s, edge) == pytest.approx((e_in, b_in), abs=tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frac=st.floats(0.0, 1.0), n=st.integers(1, 64), a=LENGTHS)
+    def test_matches_branch_formulas(self, frac, n, a):
+        mode = ModeSpec(a=a, n=n)
+        s = frac * a
+        dom = domains(a, s)
+        x = np.linspace(-1.1 * a, 0.1 * a, 513)
+        in_sw = (x >= dom.sw[0]) & (x <= 0.0)
+        in_rw = (x >= dom.rw[0]) & (x < dom.sw[0])
+        e_sw, b_sw = _branch_values(mode, s, x, "sw")
+        e_rw, b_rw = _branch_values(mode, s, x, "rw")
+        e_ref = np.select([in_sw, in_rw], [e_sw, e_rw], default=0.0)
+        b_ref = np.select([in_sw, in_rw], [b_sw, b_rw], default=0.0)
+        e, b = reflect_field(mode, s, x)
+        tol = 1e-12 / np.sqrt(a)
+        assert np.max(np.abs(e - e_ref)) < tol
+        assert np.max(np.abs(b - b_ref)) < tol
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_stage_handoff_is_continuous(self, n):
@@ -164,6 +191,35 @@ class TestDensity:
         assert np.max(np.abs(rho - (np.asarray(e) ** 2 + np.asarray(b) ** 2))) < 1e-12
 
 
+class TestCumulative:
+    # n stops at 15: at n = 16 the quadrature oracle itself fails on
+    # whole-pulse pieces (s near 0 or a), which test_quadrature_aliasing pins.
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(0.0, 1.0), n=st.integers(1, 15))
+    def test_matches_quadrature(self, s, n):
+        mode = ModeSpec(n=n)
+        pieces = reflection_pieces(mode, s)
+        assert cumulative(pieces, mode.k, 0.0) == pytest.approx(1.0, abs=1e-12)
+        for p in pieces:
+            exact = cumulative(pieces, mode.k, p.hi) - cumulative(pieces, mode.k, p.lo)
+            q = integrate(lambda x: np.asarray(density(mode, s, x)), p.lo, p.hi, tol=1e-11)
+            assert abs(q.value - exact) < 1e-10
+
+    @pytest.mark.xfail(strict=True, reason="integrate starts with 8 Simpson panels whose "
+                       "nodes all fall on zeros of sin^2 at n = 16; two levels agree on 0")
+    @pytest.mark.parametrize("s", [0.0, 1e-9, 1.0])
+    def test_quadrature_aliasing(self, s):
+        mode = ModeSpec(n=16)
+        q = integrate(lambda x: np.asarray(density(mode, s, x)), -1.0, 0.0, tol=1e-11)
+        assert abs(q.value - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_zero_before_support_and_one_after(self, s):
+        pieces = reflection_pieces(MODE, s)
+        assert cumulative(pieces, MODE.k, -2.0) == 0.0
+        assert cumulative(pieces, MODE.k, 1.0) == pytest.approx(1.0, abs=1e-14)
+
+
 class TestDiscontinuities:
     def test_inner_location_out_and_back(self):
         assert discontinuities(MODE, 0.25)[0].location == -0.25
@@ -178,14 +234,49 @@ class TestDiscontinuities:
         assert inner[Quantity.DE_DX].jump == pytest.approx(-np.pi, abs=1e-12)
         assert inner[Quantity.DB_DX].jump == pytest.approx(np.pi, abs=1e-12)
 
+    @pytest.mark.parametrize("a", [1e-3, 1e3, 1e6])
+    def test_inner_jump_magnitudes_scale_with_a(self, a):
+        # the jumps are -+k/sqrt(a) = -+pi a^(-3/2) for n = 1, at any length
+        records = discontinuities(ModeSpec(a=a), a / 4)
+        inner = {r.quantity: r for r in records if r.kind is JumpKind.INNER}
+        scale = np.pi * a ** -1.5
+        assert inner[Quantity.DE_DX].jump == pytest.approx(-scale, rel=1e-12, abs=0.0)
+        assert inner[Quantity.DB_DX].jump == pytest.approx(scale, rel=1e-12, abs=0.0)
+
     def test_inner_sides_match_quoted_derivatives(self):
         # at s = a/4 the E-slope is 0 on the RW side and -pi on the SW side
-        from splitphoton.reflection import _one_sided_derivatives
+        slopes = derivative(reflection_pieces(MODE, 0.25), MODE.k)
+        left, right = limits(slopes, MODE.k, -0.25)
+        assert left.E == pytest.approx(0.0, abs=1e-12)
+        assert right.E == pytest.approx(-np.pi, abs=1e-12)
 
-        de_l, _ = _one_sided_derivatives(MODE, 0.25, -0.25, "left")
-        de_r, _ = _one_sided_derivatives(MODE, 0.25, -0.25, "right")
-        assert de_l == pytest.approx(0.0, abs=1e-12)
-        assert de_r == pytest.approx(-np.pi, abs=1e-12)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_degenerate_moment_records(self, s, n):
+        # zero-width pieces supply no one-sided limit: RW at s = a/2, SW at s in {0, a}
+        k = n * np.pi
+        de, db, b = Quantity.DE_DX, Quantity.DB_DX, Quantity.B_VALUE
+        if s == 0.0:
+            slope = -k * np.cos(k)
+            expected = [(-1.0, de, slope, JumpKind.EDGE), (-1.0, db, slope, JumpKind.EDGE)]
+            mirror = 0.0
+        elif s == 1.0:
+            expected = [(-1.0, de, -k, JumpKind.EDGE), (-1.0, db, k, JumpKind.EDGE)]
+            mirror = 0.0
+        else:
+            de_jump, db_jump = -2.0 * k * np.cos(k / 2) ** 2, 2.0 * k * np.sin(k / 2) ** 2
+            expected = [
+                (-0.5, de, de_jump, JumpKind.INNER), (-0.5, db, db_jump, JumpKind.INNER),
+                (-0.5, de, de_jump, JumpKind.EDGE), (-0.5, db, db_jump, JumpKind.EDGE),
+            ]
+            mirror = -2.0 * np.sin(k / 2)
+        expected.append((0.0, b, mirror, JumpKind.MIRROR_SURFACE))
+        records = discontinuities(ModeSpec(n=n), s)
+        assert [(r.location, r.quantity, r.kind) for r in records] == [
+            (x, q, kind) for x, q, _, kind in expected
+        ]
+        for rec, (_, _, jump, _) in zip(records, expected):
+            assert rec.jump == pytest.approx(jump, abs=1e-12)
 
     def test_record_inventory(self):
         records = discontinuities(MODE, 0.3)
@@ -241,6 +332,19 @@ class TestEnergyLedger:
         led = energy_ledger(mode, s)
         assert abs(led.total - 1.0) < 1e-12
         assert abs(led.e_E_sw + led.e_B_sw - led.e_sw) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(frac=st.floats(0.0, 1.0), n=st.integers(1, 16), a=LENGTHS)
+    def test_ledger_equals_piece_integrals(self, frac, n, a):
+        # bare convention: a times the exact integral of E^2 + B^2 over each piece
+        mode = ModeSpec(a=a, n=n)
+        s = frac * a
+        rw, sw = pieces = reflection_pieces(mode, s)
+        led = energy_ledger(mode, s)
+        e_rw = a * cumulative(pieces, mode.k, rw.hi)
+        e_sw = a * (cumulative(pieces, mode.k, sw.hi) - cumulative(pieces, mode.k, sw.lo))
+        assert abs(e_rw - led.e_rw) < 1e-12 * a
+        assert abs(e_sw - led.e_sw) < 1e-12 * a
 
     def test_stage_formulas_agree_at_half(self):
         for n in (1, 2, 3):

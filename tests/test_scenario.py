@@ -77,6 +77,7 @@ class TestParsing:
             ("[mode]\na = 1\n[mode]\nn = 2\n", 3, "duplicate section"),
             ("[detector]\nposition = 1.0\nposition = 2.0\n", 3, "duplicate key"),
             ("[run]\nsource_blocking = maybe\n", 2, "boolean"),
+            ("[run]\ntrials = 10\nphase = 0.0\n", 3, "unknown key"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):

@@ -12,6 +12,7 @@ from splitphoton import (
     split_state,
 )
 from splitphoton.validation import integrate
+from splitphoton.wavestate import cumulative, eigenmode_pieces, split_pieces
 
 SQRT2 = np.sqrt(2.0)
 
@@ -21,7 +22,14 @@ class TestModeSpec:
         mode = ModeSpec(a=2.5, n=3, c=0.7)
         assert mode.omega / mode.c - mode.k == 0.0
 
-    @pytest.mark.parametrize("bad", [dict(a=0.0), dict(n=0), dict(c=-1.0), dict(n=1.5)])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(a=0.0), dict(n=0), dict(c=-1.0), dict(n=1.5),
+            dict(a=float("nan")), dict(a=float("inf")),
+            dict(c=float("nan")), dict(c=float("inf")),
+        ],
+    )
     def test_invalid_parameters(self, bad):
         with pytest.raises(ValueError):
             ModeSpec(**bad)
@@ -51,6 +59,9 @@ class TestEigenmode:
 
         assert integrate(rho, 0.0, 1.0, tol=1e-12).value == pytest.approx(1.0, abs=1e-10)
         assert eigenmode(mode, 0.5, 0.0).E == pytest.approx(SQRT2, abs=1e-14)
+        for t in (0.0, 0.37, 1.1):
+            assert cumulative(eigenmode_pieces(mode, t), mode.k, 1.0) == pytest.approx(
+                1.0, abs=1e-14)
 
     def test_zero_outside_cavity(self):
         mode = ModeSpec()
@@ -121,6 +132,9 @@ class TestSplitState:
         cuts = [-t, 1.0 - t, t, 1.0 + t]
         res = integrate(rho, -t, 1.0 + t, tol=1e-11, breakpoints=cuts)
         assert abs(res.value - 1.0) < 1e-9
+        exact = cumulative(split_pieces(mode, t), mode.k, 1.0 + t)
+        assert exact == pytest.approx(1.0, abs=1e-14)
+        assert abs(res.value - exact) < 1e-9
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
