@@ -13,6 +13,7 @@ from .experiments import (
     Scenario,
     StatsReport,
     TrialOutcome,
+    Trials,
     crossing_events,
     run,
     sample_trial,

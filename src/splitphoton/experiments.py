@@ -3,29 +3,34 @@
 A ``Scenario`` puts the source at the origin (pulse initially on
 [-a/2, a/2]), an optional ideal mirror at x = +D with D > a, and a set of
 photon detectors or electron guns with insertion schedules.  Trials are
-sampled under one of two outcome models:
+sampled from one candidate table per scenario, each row a way a trial can
+end with its exact probability mass, filled under one of two outcome models:
 
 * conventional QM: Born-rule clicks with exact single-photon
-  anti-coincidence, via sequential conditional sampling over the ordered
-  crossing events;
+  anti-coincidence, one row per crossing event;
 * "preferred way": a comparator model in which the photon deterministically
   routes itself to the first-inserted reachable detector and always clicks.
 
-Every trial draws from its own random stream derived from
-(seed, trial_index), so runs are reproducible and order-independent.
+Trial ``i`` owns counter block ``i`` of a Philox stream keyed by the seed
+(Salmon et al., SC'11): four uniform doubles, the first picking a row and
+the second a position through the row's inverse-CDF table.  A run over
+trials ``[start, stop)`` advances the counter to ``start``, so trial ``i``
+is a pure function of (seed, i) whatever the chunking or execution order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from . import reflection, wavestate
-from .wavestate import ModeSpec, Piece
+from .wavestate import ModeSpec, Piece, window
 
 __all__ = [
     "InstrumentKind",
@@ -35,6 +40,7 @@ __all__ = [
     "Scenario",
     "CrossingEvent",
     "TrialOutcome",
+    "Trials",
     "InstrumentStats",
     "StatsReport",
     "crossing_events",
@@ -45,10 +51,13 @@ __all__ = [
     "run",
     "run_trials",
     "aggregate",
+    "Z_BOUND",
 ]
 
 _MASS_EPS = 1e-15
 _TABLE_INTERVALS = 4096  # inverse-CDF table resolution over one pulse length
+_BLOCK = 4  # uniform doubles per trial: one Philox counter block
+Z_BOUND = 6.0  # |z| past which a count contradicts its rate: P < 2 exp(-18) ~ 3e-8
 
 
 class InstrumentKind(str, Enum):
@@ -109,8 +118,8 @@ class Scenario:
                 raise ValueError("mirror distance must exceed pulse length")
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError("seed must lie in [0, 2**128), the Philox key range")
         if self.tie_rule not in ("earliest-inserted", "closest"):
             raise ValueError(f"unknown tie rule {self.tie_rule!r}")
         ids = [ins.id for ins in self.instruments]
@@ -147,13 +156,64 @@ class TrialOutcome:
     flag: Optional[str] = None
 
 
+@dataclass(frozen=True, eq=False)
+class Trials(Sequence[TrialOutcome]):
+    """Outcomes of consecutive trials as read-only columns, and as a read-only
+    sequence of ``TrialOutcome``: ``instrument`` indexes ``ids`` (-1: no click),
+    ``click_time`` and ``scatter_x`` are NaN where missing, ``branch`` indexes
+    ``BRANCHES`` and ``flag`` ``FLAGS``; ``expected`` is each instrument's exact
+    click probability."""
+
+    BRANCHES = tuple(Branch)
+    FLAGS = (None, "model-undetermined", "no-overlap")
+    COLUMNS = ("instrument", "click_time", "scatter_x", "branch", "flag")
+
+    ids: tuple[str, ...]
+    expected: tuple[float, ...]
+    instrument: np.ndarray
+    click_time: np.ndarray
+    scatter_x: np.ndarray
+    branch: np.ndarray
+    flag: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in self.COLUMNS:
+            getattr(self, name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.instrument)
+
+    def _outcome(self, k: int, t: float, x: float, b: int, f: int) -> TrialOutcome:
+        return TrialOutcome(None if k < 0 else self.ids[k], None if math.isnan(t) else t,
+                            None if math.isnan(x) else x, self.BRANCHES[b], self.FLAGS[f])
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return dataclasses.replace(
+                self, **{name: getattr(self, name)[index] for name in self.COLUMNS})
+        i = range(len(self))[index]
+        return self._outcome(*(getattr(self, name)[i].item() for name in self.COLUMNS))
+
+    def __iter__(self):
+        return map(self._outcome, *(getattr(self, name).tolist() for name in self.COLUMNS))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trials):
+            return NotImplemented
+        return self.ids == other.ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+            for name in self.COLUMNS)
+
+
 @dataclass
 class InstrumentStats:
     count: int
     rate: float
     ci_lo: float
     ci_hi: float
-    click_times: list[float]
+    click_times: np.ndarray
+    expected: float  # exact click probability
+    z: float  # signed likelihood-ratio score of the count against ``expected``
 
 
 @dataclass
@@ -161,7 +221,7 @@ class StatsReport:
     trials: int
     per_instrument: dict[str, InstrumentStats]
     none_count: int
-    anti_coincidence_violations: int
+    rate_violations: int  # instruments whose count contradicts the exact rate
     undetermined_count: int
 
     def summary(self) -> str:
@@ -169,15 +229,14 @@ class StatsReport:
         for name, st in sorted(self.per_instrument.items()):
             lines.append(
                 f"  {name}: {st.count} clicks, rate {st.rate:.5f} "
-                f"(95% CI [{st.ci_lo:.5f}, {st.ci_hi:.5f}])"
+                f"(95% CI [{st.ci_lo:.5f}, {st.ci_hi:.5f}]), exact {st.expected:.5f}, "
+                f"z {st.z:+.2f}"
             )
         lines.append(f"no-detection trials: {self.none_count}")
-        lines.append(f"anti-coincidence violations: {self.anti_coincidence_violations}")
+        lines.append(f"rate violations (|z| > {Z_BOUND:g}): {self.rate_violations}")
         if self.undetermined_count:
-            lines.append(
-                f"model-undetermined trials (comparator tie rule applied): "
-                f"{self.undetermined_count}"
-            )
+            lines.append(f"model-undetermined trials (comparator tie rule applied): "
+                         f"{self.undetermined_count}")
         return "\n".join(lines)
 
 
@@ -190,38 +249,6 @@ def _table(mode: ModeSpec, pieces: tuple[Piece, ...], offset: float
     nodes = np.concatenate([np.linspace(p.lo, p.hi, m + 1)[:-1] for p in wide] + [[wide[-1].hi]])
     cdf = np.asarray(wavestate.cumulative(pieces, mode.k, nodes))
     return cdf / cdf[-1], offset + nodes
-
-
-def window(kind: str, *, a: float = 1.0, c: float = 1.0, D: Optional[float] = None,
-           L: Optional[float] = None, S: Optional[float] = None) -> tuple[float, float]:
-    """Geometry/timing windows of the canonical scenarios.
-
-    kinds: "measurement_region" (spatial strip (D-a, D) swept during
-    reflection), "reflection_shots" (shot times during reflection),
-    "left_gun_shots" (pulse-overlap times at distance L left of the
-    source), "pre_arrival_insertion" (detector insertion times before
-    the pulse reaches distance S).  An interval with hi <= lo is empty.
-    """
-    if a <= 0 or c <= 0:
-        raise ValueError("a and c must be positive")
-    if kind == "measurement_region":
-        if D is None or D <= a:
-            raise ValueError("measurement region requires mirror distance D > a")
-        return (D - a, D)
-    if kind == "reflection_shots":
-        if D is None or D <= a:
-            raise ValueError("reflection shots require mirror distance D > a")
-        t_d = (2.0 * D + a) / (2.0 * c)
-        return (t_d - a / c, t_d)
-    if kind == "left_gun_shots":
-        if L is None or L <= 0:
-            raise ValueError("left gun shots require positive distance L")
-        return ((L - a / 2.0) / c, (L + a / 2.0) / c)
-    if kind == "pre_arrival_insertion":
-        if S is None or S <= 0:
-            raise ValueError("pre-arrival insertion requires positive distance S")
-        return (0.0, (S - a / 2.0) / c)
-    raise ValueError(f"unknown window kind {kind!r}")
 
 
 def crossing_events(scenario: Scenario) -> list[CrossingEvent]:
@@ -271,75 +298,89 @@ def crossing_events(scenario: Scenario) -> list[CrossingEvent]:
             caught = frac * det.efficiency
             mass = 0.5 * remaining * caught
             if mass > _MASS_EPS:
-                events.append(
-                    CrossingEvent(
-                        instrument=det,
-                        branch=branch,
-                        t_start=max(det.insertion_time, t0),
-                        t_end=min(
-                            det.removal_time if det.removal_time is not None else math.inf,
-                            t0 + a / c,
-                        ),
-                        mass=mass,
-                        frac_lo=f_lo,
-                        frac_hi=f_hi,
-                        sweep_t0=t0,
-                    )
-                )
+                removal = math.inf if det.removal_time is None else det.removal_time
+                events.append(CrossingEvent(det, branch, max(det.insertion_time, t0),
+                                            min(removal, t0 + a / c), mass, f_lo, f_hi, t0))
             remaining *= 1.0 - caught
     events.sort(key=lambda ev: (ev.t_start, ev.instrument.id))
     return events
 
 
+@dataclass(frozen=True)
+class _Candidate:
+    """One way a trial can end, with its exact probability ``mass``.  A row with a
+    ``table`` (cdf, value) maps the trial's uniform u to ``interp(frac_lo + u
+    (frac_hi - frac_lo), cdf, value)``: a detector's click time, a gun's scatter x."""
+
+    instrument: Optional[Instrument]
+    mass: float
+    branch: Branch
+    flag: Optional[str] = None
+    table: Optional[tuple[np.ndarray, np.ndarray]] = None
+    frac_lo: float = 0.0
+    frac_hi: float = 1.0
+
+
 class _Simulator:
-    """Precomputed per-scenario state shared by all trials."""
+    """The per-scenario candidate table shared by all trials."""
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
         self.scenario = scenario
-        mode = scenario.mode
-        self.mode = mode
-        self.guns = [
-            ins for ins in scenario.instruments if ins.kind is InstrumentKind.ELECTRON_GUN
-        ]
-        self.events = crossing_events(scenario) if not self.guns else []
-        self._reflection_end = (
-            None
-            if scenario.mirror_distance is None
-            else (scenario.mirror_distance + mode.a / 2.0) / mode.c
-        )
         # one pulse profile on [0, a]: click-time table and free-pulse gun tables
-        self._profile = wavestate.pulse_pieces(mode, 0.0, 1)
-        self._click_cdf, self._click_u = _table(mode, self._profile, 0.0)
-
-        self._gun_by_side: dict[Branch, Instrument] = {}
-        for gun in self.guns:
-            side = Branch.LEFT if gun.position < 0 else Branch.RIGHT
-            if side in self._gun_by_side:
-                raise ValueError("at most one electron gun per side is supported")
-            self._gun_by_side[side] = gun
-        self._gun_tables = {gun.id: self._gun_table(gun) for gun in self.guns}
-
+        self._profile = wavestate.pulse_pieces(scenario.mode, 0.0, 1)
+        guns = [ins for ins in scenario.instruments if ins.kind is InstrumentKind.ELECTRON_GUN]
+        self._gun_tables = {gun.id: self._gun_table(gun) for gun in guns}
+        rows = self._gun_rows(guns) if guns else self._event_rows()
         # reachable: detectors with crossing mass, guns whose shot overlaps the pulse
-        self._first_event: dict[str, CrossingEvent] = {}
-        for ev in self.events:
-            self._first_event.setdefault(ev.instrument.id, ev)
-        if self.guns:
-            self.reachable = [g for g in self.guns if self._gun_tables[g.id] is not None]
-        else:
-            self.reachable = [ev.instrument for ev in self._first_event.values()]
-        # the comparator's pick under the tie rule, flagged when the rules disagree
-        self._preferred: Optional[Instrument] = None
-        self._preferred_flag: Optional[str] = None
-        if self.reachable:
-            by_insertion = min(self.reachable, key=lambda i: (i.insertion_time, i.id))
-            by_distance = min(self.reachable, key=lambda i: (abs(i.position), i.id))
-            earliest = scenario.tie_rule == "earliest-inserted"
-            self._preferred = by_insertion if earliest else by_distance
-            if by_insertion is not by_distance:
-                self._preferred_flag = "model-undetermined"
+        self.reachable = [ins for ins in scenario.instruments
+                          if any(row.instrument is ins for row in rows)]
+        if scenario.model is OutcomeModel.PREFERRED_WAY:
+            rows = self._preferred(rows)
+        self.candidates = rows
 
-    # -- electron-gun scatter sampling -------------------------------------
+    def _event_rows(self) -> list[_Candidate]:
+        """One row per crossing event; its click time follows the pulse profile."""
+        mode = self.scenario.mode
+        cdf, u = _table(mode, self._profile, 0.0)
+        D = self.scenario.mirror_distance
+        reflection_end = math.inf if D is None else (D + mode.a / 2.0) / mode.c
+        rows = []
+        for ev in crossing_events(self.scenario):
+            if ev.branch == "left":
+                # after reflection, the left half-self leads the one-way pair
+                branch = Branch.LEADING_PULSE if ev.sweep_t0 >= reflection_end else Branch.LEFT
+            else:
+                branch = Branch.RIGHT if ev.branch == "right" else Branch.TRAILING_PULSE
+            rows.append(_Candidate(ev.instrument, ev.mass, branch, None,
+                                   (cdf, ev.sweep_t0 + u / mode.c), ev.frac_lo, ev.frac_hi))
+        return rows
+
+    def _gun_rows(self, guns: list[Instrument]) -> list[_Candidate]:
+        """Each half-self meets the gun on its side, if any, with probability 1/2."""
+        rows = []
+        for side in (Branch.LEFT, Branch.RIGHT):
+            here = [gun for gun in guns if (gun.position < 0) == (side is Branch.LEFT)]
+            if len(here) > 1:
+                raise ValueError("at most one electron gun per side is supported")
+            table = self._gun_tables[here[0].id] if here else None
+            if table is None:
+                rows.append(_Candidate(None, 0.5, side, "no-overlap" if here else None))
+            else:
+                rows.append(_Candidate(here[0], 0.5, side, table=table))
+        return rows
+
+    def _preferred(self, rows: list[_Candidate]) -> list[_Candidate]:
+        """The comparator's pick under the tie rule as a certain outcome, flagged
+        when the two tie rules disagree."""
+        if not self.reachable:
+            return []
+        by_insertion = min(self.reachable, key=lambda i: (i.insertion_time, i.id))
+        by_distance = min(self.reachable, key=lambda i: (abs(i.position), i.id))
+        chosen = by_insertion if self.scenario.tie_rule == "earliest-inserted" else by_distance
+        flag = None if by_insertion is by_distance else "model-undetermined"
+        first = next(row for row in rows if row.instrument is chosen)
+        return [dataclasses.replace(first, mass=1.0, flag=flag)]
 
     def _gun_table(self, gun: Instrument) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Scatter table of the pulse on the gun's side at its shot time, or None.
@@ -347,7 +388,7 @@ class _Simulator:
         The pieces end at the leading edge of a free pulse, at the mirror during
         reflection; the gun overlaps when within one pulse length behind that end.
         """
-        mode = self.mode
+        mode = self.scenario.mode
         a = mode.a
         ct = mode.c * gun.insertion_time
         D = self.scenario.mirror_distance
@@ -367,85 +408,46 @@ class _Simulator:
             return None
         return _table(mode, pieces, offset)
 
-    def _scatter(self, gun: Instrument, rng: np.random.Generator,
-                 flag: Optional[str] = None) -> TrialOutcome:
-        cdf, x = self._gun_tables[gun.id]
-        return TrialOutcome(
-            clicked=gun.id,
-            click_time=gun.insertion_time,
-            scatter_position=float(np.interp(rng.random(), cdf, x)),
-            resolved_branch=Branch.LEFT if gun.position < 0 else Branch.RIGHT,
-            flag=flag,
-        )
+    def sample(self, start: int, stop: int) -> Trials:
+        """Trials [start, stop); trial i takes the doubles of Philox counter block i."""
+        rows = self.candidates
+        bits = np.random.Philox(key=self.scenario.seed).advance(start)
+        u = np.random.Generator(bits).random((stop - start, _BLOCK))
+        pick = np.searchsorted(np.cumsum([row.mass for row in rows]), u[:, 0], side="right")
+        # the codes end with the no-click outcome, picked where u0 passes the total mass
+        ids = tuple(ins.id for ins in self.scenario.instruments)
+        codes = [(-1 if row.instrument is None else ids.index(row.instrument.id),
+                  Trials.BRANCHES.index(row.branch), Trials.FLAGS.index(row.flag))
+                 for row in rows] + [(-1, Trials.BRANCHES.index(Branch.NONE), 0)]
+        instrument, branch, flag = np.array(codes).T[:, pick]
+        click_time, scatter_x = np.full((2, len(pick)), np.nan)
+        for r, row in enumerate(rows):
+            hit = pick == r
+            if row.table is None or not hit.any():
+                continue
+            value = np.interp(row.frac_lo + u[hit, 1] * (row.frac_hi - row.frac_lo), *row.table)
+            if row.instrument.kind is InstrumentKind.ELECTRON_GUN:
+                click_time[hit] = row.instrument.insertion_time
+                scatter_x[hit] = value
+            else:
+                click_time[hit] = value
+        expected = tuple(min(1.0, math.fsum(row.mass for row in rows if row.instrument is ins))
+                         for ins in self.scenario.instruments)
+        return Trials(ids, expected, instrument, click_time, scatter_x, branch, flag)
 
-    # -- per-trial sampling -------------------------------------------------
 
-    def _rng(self, trial_index: int) -> np.random.Generator:
-        return np.random.default_rng([self.scenario.seed, trial_index])
-
-    def trial(self, trial_index: int) -> TrialOutcome:
-        rng = self._rng(trial_index)
-        if self.scenario.model is OutcomeModel.PREFERRED_WAY:
-            return self._preferred_trial(rng)
-        if self.guns:
-            return self._gun_trial(rng)
-        return self._qm_trial(rng)
-
-    def _sample_click_time(self, ev: CrossingEvent, rng: np.random.Generator) -> float:
-        q = rng.uniform(ev.frac_lo, ev.frac_hi)
-        u = float(np.interp(q, self._click_cdf, self._click_u))
-        return ev.sweep_t0 + u / self.mode.c
-
-    def _branch_label(self, ev: CrossingEvent) -> Branch:
-        if ev.branch == "right":
-            return Branch.RIGHT
-        if ev.branch == "reflected":
-            return Branch.TRAILING_PULSE
-        if self._reflection_end is not None and ev.sweep_t0 >= self._reflection_end:
-            # post-reflection one-way pair: the left half-self leads
-            return Branch.LEADING_PULSE
-        return Branch.LEFT
-
-    def _qm_trial(self, rng: np.random.Generator) -> TrialOutcome:
-        remaining = 1.0
-        for ev in self.events:
-            p = min(ev.mass / remaining, 1.0)
-            if rng.random() < p:
-                return TrialOutcome(
-                    clicked=ev.instrument.id,
-                    click_time=self._sample_click_time(ev, rng),
-                    resolved_branch=self._branch_label(ev),
-                )
-            remaining -= ev.mass
-        return TrialOutcome()
-
-    def _preferred_trial(self, rng: np.random.Generator) -> TrialOutcome:
-        chosen = self._preferred
-        if chosen is None:
-            return TrialOutcome()
-        if self.guns:
-            return self._scatter(chosen, rng, self._preferred_flag)
-        ev = self._first_event[chosen.id]
-        return TrialOutcome(
-            clicked=chosen.id,
-            click_time=self._sample_click_time(ev, rng),
-            resolved_branch=self._branch_label(ev),
-            flag=self._preferred_flag,
-        )
-
-    def _gun_trial(self, rng: np.random.Generator) -> TrialOutcome:
-        side = Branch.LEFT if rng.random() < 0.5 else Branch.RIGHT
-        gun = self._gun_by_side.get(side)
-        if gun is None:
-            return TrialOutcome(resolved_branch=side)
-        if self._gun_tables[gun.id] is None:
-            return TrialOutcome(resolved_branch=side, flag="no-overlap")
-        return self._scatter(gun, rng)
+def run_trials(scenario: Scenario, start: int = 0, stop: Optional[int] = None) -> Trials:
+    """Outcomes of trials [start, stop), by default all ``scenario.trials`` of them;
+    a trial's outcome does not depend on the range that samples it."""
+    stop = scenario.trials if stop is None else stop
+    if not 0 <= start <= stop:
+        raise ValueError("trial range must satisfy 0 <= start <= stop")
+    return _Simulator(scenario).sample(start, stop)
 
 
 def sample_trial(scenario: Scenario, trial_index: int) -> TrialOutcome:
-    """One detector trial; deterministic given (scenario, seed, trial_index)."""
-    return _Simulator(scenario).trial(trial_index)
+    """One trial; deterministic given (scenario, seed, trial_index)."""
+    return run_trials(scenario, trial_index, trial_index + 1)[0]
 
 
 def reachable(scenario: Scenario) -> list[Instrument]:
@@ -463,42 +465,38 @@ def scatter_positions(scenario: Scenario, gun_id: str, n: int, seed: int = 0) ->
     table = _Simulator(scenario)._gun_tables.get(gun_id)
     if table is None:
         raise ValueError(f"gun {gun_id!r} has no pulse overlap at its shot time")
-    cdf, x = table
-    rng = np.random.default_rng(seed)
-    return np.interp(rng.random(n), cdf, x)
+    return np.interp(np.random.default_rng(seed).random(n), *table)
 
 
-def run_trials(scenario: Scenario) -> list[TrialOutcome]:
-    """All trial outcomes in trial order; bit-identical across repeat runs."""
-    sim = _Simulator(scenario)
-    return [sim.trial(i) for i in range(scenario.trials)]
+def _z_score(count: int, n: int, p: float) -> float:
+    """Signed root of the binomial likelihood-ratio statistic: ~N(0, 1) for large
+    counts, and P(z > t) <= exp(-t^2 / 2) (Chernoff) for any n and p, also at
+    n p << 1 where the normal score fails; an impossible count scores infinite."""
+    q = count / n
+
+    def term(a: float, b: float) -> float:  # a log(a / b), with 0 log 0 = 0
+        return 0.0 if a == 0.0 else math.inf if b == 0.0 else a * math.log(a / b)
+
+    deviance = 2.0 * n * (term(q, p) + term(1.0 - q, 1.0 - p))
+    return math.copysign(math.sqrt(max(deviance, 0.0)), q - p)
 
 
-def aggregate(scenario: Scenario, outcomes: list[TrialOutcome]) -> StatsReport:
-    z = 1.959963984540054  # two-sided 95% normal quantile
+def aggregate(scenario: Scenario, outcomes: Trials) -> StatsReport:
+    """Per-instrument counts, rates with 95% intervals, and the exact-rate audit."""
+    z95 = 1.959963984540054  # two-sided 95% normal quantile
     n = len(outcomes)
+    counts = np.bincount(outcomes.instrument + 1, minlength=len(scenario.instruments) + 1)
     per: dict[str, InstrumentStats] = {}
-    for ins in scenario.instruments:
-        times = [o.click_time for o in outcomes if o.clicked == ins.id and o.click_time is not None]
-        count = sum(1 for o in outcomes if o.clicked == ins.id)
+    for k, ins in enumerate(scenario.instruments):
+        count, p = int(counts[k + 1]), outcomes.expected[k]
         rate = count / n
-        half = z * math.sqrt(max(rate * (1.0 - rate), 0.0) / n)
-        per[ins.id] = InstrumentStats(
-            count=count,
-            rate=rate,
-            ci_lo=max(0.0, rate - half),
-            ci_hi=min(1.0, rate + half),
-            click_times=times,
-        )
-    none_count = sum(1 for o in outcomes if o.clicked is None)
-    undetermined = sum(1 for o in outcomes if o.flag == "model-undetermined")
-    return StatsReport(
-        trials=n,
-        per_instrument=per,
-        none_count=none_count,
-        anti_coincidence_violations=0,  # single click per trial by construction
-        undetermined_count=undetermined,
-    )
+        half = z95 * math.sqrt(max(rate * (1.0 - rate), 0.0) / n)
+        per[ins.id] = InstrumentStats(count, rate, max(0.0, rate - half), min(1.0, rate + half),
+                                      outcomes.click_time[outcomes.instrument == k], p,
+                                      _z_score(count, n, p))
+    violations = sum(1 for st in per.values() if abs(st.z) > Z_BOUND)
+    undetermined = np.count_nonzero(outcomes.flag == Trials.FLAGS.index("model-undetermined"))
+    return StatsReport(n, per, int(counts[0]), violations, undetermined)
 
 
 def run(scenario: Scenario) -> StatsReport:

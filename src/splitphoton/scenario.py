@@ -30,10 +30,13 @@ Format::
     source_blocking = false
     tie_rule = earliest-inserted
 
-Unknown sections or keys are rejected with the offending line number.
+Unknown sections or keys, non-finite numbers and values that fail
+validation are rejected with the offending line number.
 """
 
 from __future__ import annotations
+
+import math
 
 from .experiments import Instrument, InstrumentKind, OutcomeModel, Scenario
 from .wavestate import ModeSpec
@@ -58,9 +61,50 @@ def _parse_bool(raw: str, line: int) -> bool:
 
 def _parse_value(caster, raw: str, key: str, line: int):
     try:
-        return caster(raw)
+        value = caster(raw)
     except (TypeError, ValueError):
         raise ScenarioError(f"bad value {raw!r} for key {key!r}", line) from None
+    if caster is float and not math.isfinite(value):
+        raise ScenarioError(f"value {raw!r} for key {key!r} must be finite", line)
+    return value
+
+
+class _Section(dict):
+    """A section's parsed key -> value pairs, with the line of its header and keys."""
+
+    def __init__(self, line: int | None = None):
+        super().__init__()
+        self.line = line
+        self.lines: dict[str, int] = {}
+
+
+def _build(section: _Section, make):
+    """``make(section)``, reporting a ValueError it raises at the line of the first
+    key, in file order, whose value makes ``make`` fail."""
+    try:
+        return make(section)
+    except ValueError as exc:
+        partial = _Section(section.line)
+        for key, value in section.items():
+            partial[key] = value
+            try:
+                make(partial)
+            except ValueError as first:
+                raise ScenarioError(str(first), section.lines[key]) from None
+        raise ScenarioError(str(exc), section.line) from None
+
+
+def _instrument(kind: InstrumentKind, default_id: str, data: dict) -> Instrument:
+    ins = Instrument(
+        id=data.get("id", default_id),
+        kind=kind,
+        position=data.get("position", 0.0),
+        insertion_time=data.get("insertion", 0.0),
+        removal_time=data.get("removal"),
+        efficiency=data.get("efficiency", 1.0),
+    )
+    ins.validate()
+    return ins
 
 
 _MODE_KEYS = {"a": float, "n": int, "c": float}
@@ -90,9 +134,9 @@ _SECTION_KEYS = {
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario file."""
-    sections: dict[str, dict] = {"mode": {}, "mirror": {}, "run": {}}
-    instruments: list[tuple[str, dict]] = []
-    current: dict | None = None
+    sections = {"mode": _Section(), "mirror": _Section(), "run": _Section()}
+    instruments: list[tuple[str, _Section]] = []
+    current: _Section | None = None
     current_name = ""
     seen_singleton: set[str] = set()
 
@@ -105,13 +149,14 @@ def parse_scenario(text: str) -> Scenario:
             if name not in _SECTION_KEYS:
                 raise ScenarioError(f"unknown section [{name}]", lineno)
             if name in ("detector", "electron_gun"):
-                current = {}
+                current = _Section(lineno)
                 instruments.append((name, current))
             else:
                 if name in seen_singleton:
                     raise ScenarioError(f"duplicate section [{name}]", lineno)
                 seen_singleton.add(name)
                 current = sections[name]
+                current.line = lineno
             current_name = name
             continue
         if "=" not in line:
@@ -125,19 +170,18 @@ def parse_scenario(text: str) -> Scenario:
         if key in current:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
         caster = keys[key]
+        current.lines[key] = lineno
         if caster is bool:
             current[key] = _parse_bool(raw_value, lineno)
         else:
             current[key] = _parse_value(caster, raw_value, key, lineno)
 
-    mode = ModeSpec(
-        a=sections["mode"].get("a", 1.0),
-        n=sections["mode"].get("n", 1),
-        c=sections["mode"].get("c", 1.0),
-    )
+    mode = _build(sections["mode"], lambda data: ModeSpec(**data))
     mirror = sections["mirror"].get("D") if "mirror" in seen_singleton else None
     if "mirror" in seen_singleton and mirror is None:
-        raise ScenarioError("[mirror] section requires key D")
+        raise ScenarioError("[mirror] section requires key D", sections["mirror"].line)
+    _build(sections["mirror"],
+           lambda data: Scenario(mode=mode, mirror_distance=data.get("D")).validate())
 
     built: list[Instrument] = []
     for index, (name, data) in enumerate(instruments, start=1):
@@ -145,25 +189,18 @@ def parse_scenario(text: str) -> Scenario:
             InstrumentKind.PHOTON_DETECTOR if name == "detector" else InstrumentKind.ELECTRON_GUN
         )
         if "position" not in data:
-            raise ScenarioError(f"[{name}] section #{index} is missing key 'position'")
+            raise ScenarioError(f"[{name}] section #{index} is missing key 'position'",
+                                data.line)
         default_id = ("D" if name == "detector" else "EG") + str(index)
-        built.append(
-            Instrument(
-                id=data.get("id", default_id),
-                kind=kind,
-                position=data["position"],
-                insertion_time=data.get("insertion", 0.0),
-                removal_time=data.get("removal"),
-                efficiency=data.get("efficiency", 1.0),
-            )
-        )
+        built.append(_build(data, lambda d: _instrument(kind, default_id, d)))
 
     run_data = sections["run"]
     model_raw = run_data.get("model", OutcomeModel.CONVENTIONAL_QM.value)
     try:
         model = OutcomeModel(model_raw)
     except ValueError:
-        raise ScenarioError(f"unknown model {model_raw!r}") from None
+        raise ScenarioError(f"unknown model {model_raw!r}",
+                            run_data.lines.get("model")) from None
 
     scenario = Scenario(
         mode=mode,

@@ -1,8 +1,10 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
+from splitphoton import experiments
 from splitphoton.cli import main
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -114,6 +116,50 @@ class TestDce:
         bad.write_text("[detector]\nposition = wide\n")
         assert main(["dce", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [("[mode]\na = inf\n", 2), ("[mirror]\nD = nan\n", 2),
+         ("[detector]\nposition = nan\n", 2)],
+    )
+    def test_non_finite_value_reports_line(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["dce", str(bad)]) == 1
+        assert f"error: line {line}: " in capsys.readouterr().err
+
+    def test_rate_audit_exits_two_on_violation(self, tmp_path, scenario_file, capsys,
+                                               monkeypatch):
+        run_trials = experiments.run_trials
+
+        def biased(scenario):  # credits every trial to the first detector
+            trials = run_trials(scenario)
+            return dataclasses.replace(trials, instrument=np.zeros(len(trials), dtype=int))
+
+        monkeypatch.setattr(experiments, "run_trials", biased)
+        assert main(["dce", scenario_file, "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "invariant violation: DR clicked 400 of 400" in err
+        assert "invariant violation: DL clicked 0 of 400" in err
+        assert main(["dce", scenario_file, "--model", "preferred-way",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+
+    def test_summary_reports_exact_rates(self, tmp_path, scenario_file, capsys):
+        assert main(["dce", scenario_file, "--out", str(tmp_path / "t.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "exact 0.50000" in out and "rate violations (|z| > 6): 0" in out
+        assert "anti-coincidence" not in out
+
+    def test_missing_values_are_empty_fields(self, tmp_path, scenario_file):
+        out = tmp_path / "late.csv"
+        path = os.path.join(SCENARIOS, "late_insertion.txt")
+        assert main(["dce", path, "--trials", "3", "--out", str(out), "--digits17"]) == 0
+        assert out.read_text().splitlines()[1:] == ["0,,,,none", "1,,,,none", "2,,,,none"]
+        assert main(["dce", scenario_file, "--out", str(out), "--digits17"]) == 0
+        for row in out.read_text().splitlines()[1:]:
+            trial, instrument, click_time, scatter_x, branch = row.split(",")
+            assert instrument in ("DR", "DL") and scatter_x == ""
+            assert click_time == format(float(click_time), ".17g")
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["dce", str(tmp_path / "nope.txt")]) == 1

@@ -1,13 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitphoton import ModeSpec
 from splitphoton.experiments import (
+    Z_BOUND,
     Branch,
     Instrument,
     InstrumentKind,
     OutcomeModel,
     Scenario,
+    TrialOutcome,
+    Trials,
     aggregate,
     crossing_events,
     reachable,
@@ -139,7 +146,8 @@ class TestSampling:
         assert all(o.clicked in ("DR", "DL") for o in outcomes)
         report = aggregate(sc, outcomes)
         assert report.none_count == 0
-        assert report.anti_coincidence_violations == 0
+        assert report.rate_violations == 0
+        assert all(stats.expected == 0.5 for stats in report.per_instrument.values())
 
     def test_click_time_respects_insertion(self):
         sc = Scenario(
@@ -267,6 +275,130 @@ class TestElectronGuns:
         assert xs.min() >= 2.5 and xs.max() <= 3.5
 
 
+def _stream_scenarios():
+    """A detector scenario, a gun scenario and a comparator scenario."""
+    return {
+        "detectors": Scenario(mode=MODE, mirror_distance=5.0,
+                              instruments=[detector("DR", 3.0), detector("DL", -8.0)],
+                              trials=1100, seed=17),
+        "guns": Scenario(mode=MODE, instruments=[gun("EGL", -3.0, 3.0), gun("EGR", 3.0, 9.0)],
+                         trials=1100, seed=18),
+        "preferred": Scenario(mode=MODE, mirror_distance=5.0,
+                              instruments=[detector("DFAR", -8.0), detector("DNEAR", 2.0, 1.0)],
+                              model=OutcomeModel.PREFERRED_WAY, trials=1100, seed=19),
+    }
+
+
+class TestCounterStream:
+    """Trial i is a pure function of (seed, i): its draws are Philox counter block i."""
+
+    @pytest.mark.parametrize("name", ["detectors", "guns", "preferred"])
+    @pytest.mark.parametrize("chunk", [1, 997, None])
+    def test_chunks_match_full_run(self, name, chunk):
+        sc = _stream_scenarios()[name]
+        full = run_trials(sc)
+        assert len(full) == sc.trials
+        step = chunk or sc.trials
+        for lo in range(0, sc.trials, step):
+            hi = min(lo + step, sc.trials)
+            assert run_trials(sc, lo, hi) == full[lo:hi]
+
+    @pytest.mark.parametrize("name", ["detectors", "guns", "preferred"])
+    def test_sample_trial_at_block_boundaries(self, name):
+        sc = _stream_scenarios()[name]
+        full = run_trials(sc)
+        for i in (0, 1, sc.trials - 1):
+            assert sample_trial(sc, i) == full[i]
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["detectors", "guns", "preferred"]),
+           seed=st.integers(0, 2**63), i=st.integers(0, 10**6), before=st.integers(0, 50),
+           after=st.integers(1, 50))
+    def test_trial_independent_of_range(self, name, seed, i, before, after):
+        sc = dataclasses.replace(_stream_scenarios()[name], seed=seed)
+        lo = max(0, i - before)
+        assert run_trials(sc, lo, i + after)[i - lo] == sample_trial(sc, i)
+
+    def test_bad_range_rejected(self):
+        sc = _stream_scenarios()["detectors"]
+        with pytest.raises(ValueError, match="trial range"):
+            run_trials(sc, 5, 4)
+        assert len(run_trials(sc, 7, 7)) == 0
+
+
+class TestTrialsSequence:
+    def test_sequence_protocol(self):
+        trials = run_trials(_stream_scenarios()["guns"])
+        outcomes = list(trials)
+        assert len(outcomes) == len(trials) == 1100
+        assert all(isinstance(o, TrialOutcome) for o in outcomes)
+        assert outcomes[-1] == trials[-1] and outcomes[5] == trials[5]
+        assert isinstance(trials[10:20], Trials) and list(trials[10:20]) == outcomes[10:20]
+        with pytest.raises(IndexError):
+            trials[1100]
+
+    def test_columns_read_only(self):
+        trials = run_trials(_stream_scenarios()["detectors"])
+        with pytest.raises(ValueError):
+            trials.click_time[0] = 0.0
+
+    def test_columns_match_outcomes(self):
+        trials = run_trials(_stream_scenarios()["guns"])
+        for k, o in zip(trials.instrument, trials):
+            assert o.clicked == (None if k < 0 else trials.ids[k])
+            assert (o.scatter_position is None) == (o.clicked is None)
+
+
+class TestRateAudit:
+    def test_expected_is_sum_of_masses(self):
+        sc = _stream_scenarios()["detectors"]
+        report = run(sc)
+        masses = {"DR": 0.0, "DL": 0.0}
+        for ev in crossing_events(sc):
+            masses[ev.instrument.id] += ev.mass
+        assert {k: stats.expected for k, stats in report.per_instrument.items()} == masses
+        assert report.rate_violations == 0
+        assert all(abs(stats.z) <= Z_BOUND for stats in report.per_instrument.values())
+
+    def test_click_times_are_arrays(self):
+        report = run(_stream_scenarios()["detectors"])
+        times = report.per_instrument["DL"].click_times
+        assert isinstance(times, np.ndarray) and times.dtype == float
+        assert len(times) == report.per_instrument["DL"].count
+
+    def test_certain_rates_must_be_exact(self):
+        # far-left detector: p = 1, so one missed click is a violation
+        sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[detector("D1", -8.0)],
+                      trials=200, seed=4)
+        trials = run_trials(sc)
+        assert aggregate(sc, trials).per_instrument["D1"].z == 0.0
+        missed = dataclasses.replace(trials, instrument=np.where(np.arange(200) == 3, -1, 0))
+        report = aggregate(sc, missed)
+        assert report.per_instrument["D1"].z == -np.inf
+        assert report.rate_violations == 1
+
+    def test_single_click_at_tiny_rate_is_no_violation(self):
+        # mass 5e-7 over 20000 trials: one click has probability ~1% for a correct
+        # sampler, though its normal score (1 - 0.01) / sqrt(0.01) = 9.9 passes 6
+        sc = Scenario(mode=MODE, instruments=[detector("D1", 3.0, efficiency=1e-6)],
+                      trials=20000, seed=6)
+        trials = run_trials(sc)
+        assert trials.expected[0] == pytest.approx(5e-7)
+        one = dataclasses.replace(trials, instrument=np.where(np.arange(20000) == 9, 0, -1))
+        report = aggregate(sc, one)
+        assert 0.0 < report.per_instrument["D1"].z < Z_BOUND
+        assert report.rate_violations == 0
+
+    def test_biased_sampler_flagged(self):
+        sc = _stream_scenarios()["detectors"]
+        trials = run_trials(sc)
+        # every trial credited to DR, whose exact rate is 1/2
+        biased = dataclasses.replace(trials, instrument=np.zeros(len(trials), dtype=int))
+        report = aggregate(sc, biased)
+        assert report.rate_violations == 2  # DR far above, DL far below
+        assert report.per_instrument["DR"].z > Z_BOUND
+
+
 class TestScenarioValidation:
     def test_mirror_too_close(self):
         sc = Scenario(mode=MODE, mirror_distance=0.5)
@@ -299,6 +431,12 @@ class TestScenarioValidation:
     def test_non_finite_rejected(self, scenario):
         with pytest.raises(ValueError, match="finite"):
             scenario.validate()
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_key_range_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            Scenario(mode=MODE, seed=seed).validate()
+        Scenario(mode=MODE, seed=2**128 - 1).validate()
 
     def test_bad_removal(self):
         with pytest.raises(ValueError, match="removal"):

@@ -86,6 +86,28 @@ class TestParsing:
         assert exc.value.line == line
         assert fragment in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text,line,fragment",
+        [
+            ("[mode]\na = inf\n", 2, "must be finite"),
+            ("[mirror]\nD = nan\n", 2, "must be finite"),
+            ("[detector]\nid = D1\nposition = nan\n", 3, "must be finite"),
+            ("[detector]\nposition = 3.0\ninsertion = -inf\n", 3, "must be finite"),
+            ("[mode]\na = 1.0\nn = 0\n", 3, "mode index n"),
+            ("[mode]\nc = -2.0\n", 2, "wave speed c"),
+            ("[mode]\na = 2.0\n[mirror]\nD = 1.5\n", 4, "mirror distance must exceed"),
+            ("[detector]\ninsertion = 2.0\nremoval = 1.0\nposition = 3.0\n", 3,
+             "removal time must exceed insertion time"),
+            ("[detector]\nposition = 3.0\nefficiency = 2.0\n", 3, "efficiency"),
+            ("[run]\nmodel = coin-flip\n", 2, "unknown model"),
+            ("[detector]\nid = D1\n", 1, "missing key 'position'"),
+        ],
+    )
+    def test_semantic_errors_carry_line_numbers(self, text, line, fragment):
+        with pytest.raises(ScenarioError, match=rf"^line {line}: .*{fragment}") as exc:
+            parse_scenario(text)
+        assert exc.value.line == line
+
     def test_missing_position(self):
         with pytest.raises(ScenarioError, match="position"):
             parse_scenario("[detector]\nid = D1\n")
