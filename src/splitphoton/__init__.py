@@ -17,7 +17,6 @@ from .experiments import (
     crossing_events,
     run,
     sample_trial,
-    window,
 )
 from .reflection import (
     DiscontinuityRecord,
@@ -41,6 +40,7 @@ from .wavestate import (
     mirror_timing,
     nonlocality_range,
     split_state,
+    window,
 )
 
 __version__ = "0.1.0"

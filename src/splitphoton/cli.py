@@ -35,33 +35,19 @@ def _open_out(path: Optional[str]):
     return open(path, "w", newline="", encoding="utf-8"), True
 
 
-class _Optional:
-    """A float column whose NaN entries are missing values, written as "".
-
-    Slicing converts one chunk at a time, so no object array of the whole
-    column is ever held.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, index: slice) -> np.ndarray:
-        part = self.values[index]
-        column = part.astype(object)
-        column[np.isnan(part)] = None
-        return column
-
-
 def _column(values: np.ndarray, digits17: bool) -> list:
     """One CSV column as Python values, formatted once for the whole column.
 
     The csv writer renders floats as shortest round-trip decimals (``repr``),
-    integers and strings as they are, and None as ""; under ``--digits17``
-    floats become 17-significant-digit text here.
+    integers and strings as they are, and None as ""; a NaN in a float column
+    is a missing value and becomes None.  Under ``--digits17`` floats become
+    17-significant-digit text here.
     """
+    if values.dtype.kind == "f":
+        missing = np.isnan(values)
+        if missing.any():
+            values = values.astype(object)
+            values[missing] = None
     items = values.tolist()
     if digits17 and values.dtype.kind in "fO":
         return [format(v, ".17g") if type(v) is float else v for v in items]
@@ -69,7 +55,7 @@ def _column(values: np.ndarray, digits17: bool) -> list:
 
 
 def _write_csv(path: Optional[str], header: list[str], columns: list, digits17: bool) -> None:
-    """Write equal-length columns (arrays or ``_Optional``) under ``header``."""
+    """Write equal-length array columns under ``header``, one batch of rows at a time."""
     stream, close = _open_out(path)
     try:
         writer = csv.writer(stream, lineterminator="\n")
@@ -137,7 +123,7 @@ def cmd_track(args) -> int:
                          dtype=float)  # NaN where no jump was located
     residual = np.abs(x_located - x_analytic)
     _write_csv(args.out, ["s", "x_D_analytic", "x_D_located", "residual"],
-               [s_values, x_analytic, _Optional(x_located), residual], args.digits17)
+               [s_values, x_analytic, x_located, residual], args.digits17)
     cell = mode.a / (args.grid - 1)
     return EXIT_OK if np.all(residual <= cell) else EXIT_INVARIANT
 
@@ -158,8 +144,8 @@ def cmd_dce(args) -> int:
     # instrument -1 (no click) picks the trailing ""
     names = np.array([ins.id for ins in scenario.instruments] + [""], dtype=object)
     branches = np.array([b.value for b in trials.BRANCHES], dtype=object)
-    columns = [np.arange(len(trials)), names[trials.instrument], _Optional(trials.click_time),
-               _Optional(trials.scatter_x), branches[trials.branch]]
+    columns = [np.arange(len(trials)), names[trials.instrument], trials.click_time,
+               trials.scatter_x, branches[trials.branch]]
     _write_csv(args.out, ["trial", "instrument", "click_time", "scatter_x", "branch"], columns,
                args.digits17)
 

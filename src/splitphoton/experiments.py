@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import reflection, wavestate
-from .wavestate import ModeSpec, Piece, window
+from .wavestate import ModeSpec, Piece
 
 __all__ = [
     "InstrumentKind",
@@ -47,7 +47,6 @@ __all__ = [
     "sample_trial",
     "reachable",
     "scatter_positions",
-    "window",
     "run",
     "run_trials",
     "aggregate",
@@ -88,6 +87,15 @@ class Instrument:
     efficiency: float = 1.0
 
     def validate(self) -> None:
+        # an id must read back from a scenario file as written
+        if self.id != self.id.strip() or "#" in self.id or self.id.splitlines() != [self.id]:
+            raise ValueError(f"instrument id {self.id!r} must be non-empty, without '#', "
+                             "line breaks or surrounding whitespace")
+        if self.kind is InstrumentKind.ELECTRON_GUN:
+            if self.removal_time is not None:
+                raise ValueError(f"{self.id}: removal time has no effect on an electron gun")
+            if self.efficiency != 1.0:
+                raise ValueError(f"{self.id}: efficiency has no effect on an electron gun")
         removal = () if self.removal_time is None else (self.removal_time,)
         if not all(math.isfinite(v) for v in (self.position, self.insertion_time, *removal)):
             raise ValueError(f"{self.id}: position and times must be finite")

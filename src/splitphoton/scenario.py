@@ -14,29 +14,33 @@ Format::
     [detector]        # one section per instrument
     id = D1
     position = 3.0
-    insertion = 0.0
+    insertion = 0.5
     removal = 4.0     # optional
-    efficiency = 1.0
+    efficiency = 0.9
 
-    [electron_gun]
+    [electron_gun]    # instead of detectors; id, position and insertion only
     id = EG1
     position = -3.0
     insertion = 3.0   # shot time
 
     [run]
     model = conventional-qm
-    trials = 100000
-    seed = 0
+    trials = 20000
+    seed = 7
     source_blocking = false
-    tie_rule = earliest-inserted
+    tie_rule = closest
 
-Unknown sections or keys, non-finite numbers and values that fail
-validation are rejected with the offending line number.
+Only ``position`` is required: an omitted key takes its dataclass field's
+default, an omitted id is ``D<k>``/``EG<k>`` for the k-th instrument section.
+Ids are non-empty, without ``#``, line breaks or surrounding whitespace.
+Unknown sections or keys, non-finite numbers and values that fail validation
+are rejected with the offending line number.
 """
 
 from __future__ import annotations
 
 import math
+from enum import Enum
 
 from .experiments import Instrument, InstrumentKind, OutcomeModel, Scenario
 from .wavestate import ModeSpec
@@ -50,18 +54,43 @@ class ScenarioError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _parse_bool(raw: str, line: int) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ScenarioError(f"expected a boolean, got {raw!r}", line)
+def _bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ScenarioError(f"expected a boolean, got {raw!r}")
+    return raw.lower() in ("true", "yes", "1")
+
+
+def _model(raw: str) -> OutcomeModel:
+    try:
+        return OutcomeModel(raw)
+    except ValueError:
+        raise ScenarioError(f"unknown model {raw!r}") from None
+
+
+_INSTRUMENT = {"id": ("id", str), "position": ("position", float),
+               "insertion": ("insertion_time", float)}
+# section -> file key -> (constructor field, caster), in serialization order
+_SCHEMA = {
+    "mode": {"a": ("a", float), "n": ("n", int), "c": ("c", float)},
+    "mirror": {"D": ("mirror_distance", float)},
+    "detector": {**_INSTRUMENT, "removal": ("removal_time", float),
+                 "efficiency": ("efficiency", float)},
+    "electron_gun": _INSTRUMENT,
+    "run": {"model": ("model", _model), "trials": ("trials", int), "seed": ("seed", int),
+            "source_blocking": ("source_blocking", _bool), "tie_rule": ("tie_rule", str)},
+}
+# instrument section -> (kind, prefix of the ids given to sections without one)
+_KINDS = {
+    "detector": (InstrumentKind.PHOTON_DETECTOR, "D"),
+    "electron_gun": (InstrumentKind.ELECTRON_GUN, "EG"),
+}
 
 
 def _parse_value(caster, raw: str, key: str, line: int):
     try:
         value = caster(raw)
+    except ScenarioError as exc:
+        raise ScenarioError(str(exc), line) from None
     except (TypeError, ValueError):
         raise ScenarioError(f"bad value {raw!r} for key {key!r}", line) from None
     if caster is float and not math.isfinite(value):
@@ -70,12 +99,11 @@ def _parse_value(caster, raw: str, key: str, line: int):
 
 
 class _Section(dict):
-    """A section's parsed key -> value pairs, with the line of its header and keys."""
+    """One section's parsed field -> value pairs, name, and header and key lines."""
 
-    def __init__(self, line: int | None = None):
+    def __init__(self, name: str, line: int | None = None):
         super().__init__()
-        self.line = line
-        self.lines: dict[str, int] = {}
+        self.name, self.line, self.lines = name, line, {}
 
 
 def _build(section: _Section, make):
@@ -84,7 +112,7 @@ def _build(section: _Section, make):
     try:
         return make(section)
     except ValueError as exc:
-        partial = _Section(section.line)
+        partial: dict = {}
         for key, value in section.items():
             partial[key] = value
             try:
@@ -94,51 +122,18 @@ def _build(section: _Section, make):
         raise ScenarioError(str(exc), section.line) from None
 
 
-def _instrument(kind: InstrumentKind, default_id: str, data: dict) -> Instrument:
-    ins = Instrument(
-        id=data.get("id", default_id),
-        kind=kind,
-        position=data.get("position", 0.0),
-        insertion_time=data.get("insertion", 0.0),
-        removal_time=data.get("removal"),
-        efficiency=data.get("efficiency", 1.0),
-    )
+def _instrument(kind: InstrumentKind, default_id: str, fields: dict) -> Instrument:
+    # the position placeholder serves only _build's partial rebuilds
+    ins = Instrument(kind=kind, **{"id": default_id, "position": 0.0, **fields})
     ins.validate()
     return ins
 
 
-_MODE_KEYS = {"a": float, "n": int, "c": float}
-_MIRROR_KEYS = {"D": float}
-_INSTRUMENT_KEYS = {
-    "id": str,
-    "position": float,
-    "insertion": float,
-    "removal": float,
-    "efficiency": float,
-}
-_RUN_KEYS = {
-    "model": str,
-    "trials": int,
-    "seed": int,
-    "source_blocking": bool,
-    "tie_rule": str,
-}
-_SECTION_KEYS = {
-    "mode": _MODE_KEYS,
-    "mirror": _MIRROR_KEYS,
-    "detector": _INSTRUMENT_KEYS,
-    "electron_gun": _INSTRUMENT_KEYS,
-    "run": _RUN_KEYS,
-}
-
-
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario file."""
-    sections = {"mode": _Section(), "mirror": _Section(), "run": _Section()}
-    instruments: list[tuple[str, _Section]] = []
+    sections = {name: _Section(name) for name in ("mode", "mirror", "run")}
+    instruments: list[_Section] = []
     current: _Section | None = None
-    current_name = ""
-    seen_singleton: set[str] = set()
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -146,72 +141,45 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
+            if name not in _SCHEMA:
                 raise ScenarioError(f"unknown section [{name}]", lineno)
-            if name in ("detector", "electron_gun"):
-                current = _Section(lineno)
-                instruments.append((name, current))
+            if name in _KINDS:
+                current = _Section(name, lineno)
+                instruments.append(current)
             else:
-                if name in seen_singleton:
-                    raise ScenarioError(f"duplicate section [{name}]", lineno)
-                seen_singleton.add(name)
                 current = sections[name]
+                if current.line is not None:
+                    raise ScenarioError(f"duplicate section [{name}]", lineno)
                 current.line = lineno
-            current_name = name
             continue
         if "=" not in line:
             raise ScenarioError(f"expected 'key = value', got {line!r}", lineno)
         if current is None:
             raise ScenarioError("key outside any section", lineno)
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        keys = _SECTION_KEYS[current_name]
-        if key not in keys:
-            raise ScenarioError(f"unknown key {key!r} in section [{current_name}]", lineno)
-        if key in current:
+        if key not in _SCHEMA[current.name]:
+            raise ScenarioError(f"unknown key {key!r} in section [{current.name}]", lineno)
+        field, caster = _SCHEMA[current.name][key]
+        if field in current:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
-        caster = keys[key]
-        current.lines[key] = lineno
-        if caster is bool:
-            current[key] = _parse_bool(raw_value, lineno)
-        else:
-            current[key] = _parse_value(caster, raw_value, key, lineno)
+        current.lines[field] = lineno
+        current[field] = _parse_value(caster, raw_value, key, lineno)
 
-    mode = _build(sections["mode"], lambda data: ModeSpec(**data))
-    mirror = sections["mirror"].get("D") if "mirror" in seen_singleton else None
-    if "mirror" in seen_singleton and mirror is None:
-        raise ScenarioError("[mirror] section requires key D", sections["mirror"].line)
-    _build(sections["mirror"],
-           lambda data: Scenario(mode=mode, mirror_distance=data.get("D")).validate())
+    mode = _build(sections["mode"], lambda fields: ModeSpec(**fields))
+    mirror = sections["mirror"]
+    if mirror.line is not None and not mirror:
+        raise ScenarioError("[mirror] section requires key D", mirror.line)
+    _build(mirror, lambda fields: Scenario(mode=mode, **fields).validate())
 
     built: list[Instrument] = []
-    for index, (name, data) in enumerate(instruments, start=1):
-        kind = (
-            InstrumentKind.PHOTON_DETECTOR if name == "detector" else InstrumentKind.ELECTRON_GUN
-        )
-        if "position" not in data:
-            raise ScenarioError(f"[{name}] section #{index} is missing key 'position'",
-                                data.line)
-        default_id = ("D" if name == "detector" else "EG") + str(index)
-        built.append(_build(data, lambda d: _instrument(kind, default_id, d)))
+    for index, fields in enumerate(instruments, start=1):
+        if "position" not in fields:
+            raise ScenarioError(f"[{fields.name}] section #{index} is missing key 'position'",
+                                fields.line)
+        kind, prefix = _KINDS[fields.name]
+        built.append(_build(fields, lambda f: _instrument(kind, f"{prefix}{index}", f)))
 
-    run_data = sections["run"]
-    model_raw = run_data.get("model", OutcomeModel.CONVENTIONAL_QM.value)
-    try:
-        model = OutcomeModel(model_raw)
-    except ValueError:
-        raise ScenarioError(f"unknown model {model_raw!r}",
-                            run_data.lines.get("model")) from None
-
-    scenario = Scenario(
-        mode=mode,
-        mirror_distance=mirror,
-        source_blocking=run_data.get("source_blocking", False),
-        instruments=built,
-        model=model,
-        trials=run_data.get("trials", 100_000),
-        seed=run_data.get("seed", 0),
-        tie_rule=run_data.get("tie_rule", "earliest-inserted"),
-    )
+    scenario = Scenario(mode=mode, instruments=built, **mirror, **sections["run"])
     try:
         scenario.validate()
     except ValueError as exc:
@@ -219,38 +187,27 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
+def _text(value) -> str:
+    if isinstance(value, Enum):
+        return value.value
+    # str of a float (numpy's too) is its shortest round-trip repr
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical text form; parse(serialize(s)) reproduces s exactly."""
-    lines = [
-        "[mode]",
-        f"a = {scenario.mode.a!r}",
-        f"n = {scenario.mode.n}",
-        f"c = {scenario.mode.c!r}",
-    ]
-    if scenario.mirror_distance is not None:
-        lines += ["", "[mirror]", f"D = {scenario.mirror_distance!r}"]
-    for ins in scenario.instruments:
-        section = "detector" if ins.kind is InstrumentKind.PHOTON_DETECTOR else "electron_gun"
-        lines += [
-            "",
-            f"[{section}]",
-            f"id = {ins.id}",
-            f"position = {ins.position!r}",
-            f"insertion = {ins.insertion_time!r}",
-        ]
-        if ins.removal_time is not None:
-            lines.append(f"removal = {ins.removal_time!r}")
-        lines.append(f"efficiency = {ins.efficiency!r}")
-    lines += [
-        "",
-        "[run]",
-        f"model = {scenario.model.value}",
-        f"trials = {scenario.trials}",
-        f"seed = {scenario.seed}",
-        f"source_blocking = {str(scenario.source_blocking).lower()}",
-        f"tie_rule = {scenario.tie_rule}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Canonical text form, keys in schema order and None values left out (so free
+    space has no [mirror]); parse(serialize(s)) reproduces a valid s exactly."""
+    section_of = {kind: name for name, (kind, _) in _KINDS.items()}
+    targets = [("mode", scenario.mode), ("mirror", scenario)]
+    targets += [(section_of[ins.kind], ins) for ins in scenario.instruments]
+    targets.append(("run", scenario))
+    blocks = []
+    for name, target in targets:
+        values = ((key, getattr(target, field)) for key, (field, _) in _SCHEMA[name].items())
+        lines = [f"{key} = {_text(value)}" for key, value in values if value is not None]
+        if lines:
+            blocks.append("\n".join([f"[{name}]", *lines]))
+    return "\n\n".join(blocks) + "\n"
 
 
 def load_scenario(path: str) -> Scenario:

@@ -124,21 +124,10 @@ def _jumps_in(x: np.ndarray, y: np.ndarray, quantity: Quantity, factor: float) -
     core = d2[1:-1]  # boundary cells excluded from the noise estimate
     floor = 1e-12 * max(float(np.max(np.abs(y))), 1.0)
     threshold = factor * max(float(np.median(core)), floor)
-    flags = d2 > threshold
-    jumps: list[LocatedJump] = []
-    i = 0
-    while i < len(flags):
-        if flags[i]:
-            j = i
-            while j + 1 < len(flags) and flags[j + 1]:
-                j += 1
-            run = slice(i, j + 1)
-            best = i + int(np.argmax(d2[run]))
-            jumps.append(LocatedJump(float(x[best + 1]), quantity, float(d2[best])))
-            i = j + 1
-        else:
-            i += 1
-    return jumps
+    flagged = np.flatnonzero(d2 > threshold)
+    runs = np.split(flagged, np.flatnonzero(np.diff(flagged) > 1) + 1)  # maximal runs of cells
+    best = [run[np.argmax(d2[run])] for run in runs if len(run)]
+    return [LocatedJump(float(x[i + 1]), quantity, float(d2[i])) for i in best]
 
 
 def locate_jumps(snapshot: Snapshot, threshold_factor: float = JUMP_THRESHOLD) -> list[LocatedJump]:

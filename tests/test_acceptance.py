@@ -21,7 +21,6 @@ from splitphoton.experiments import (
     run,
     run_trials,
     scatter_positions,
-    window,
 )
 from splitphoton.reflection import (
     domains,
@@ -31,7 +30,7 @@ from splitphoton.reflection import (
 )
 from splitphoton.snapshot import reflection_snapshot
 from splitphoton.validation import integrate, locate_jumps
-from splitphoton.wavestate import eigenmode
+from splitphoton.wavestate import eigenmode, window
 
 N_TRIALS = 100_000
 THREE_SIGMA = 3.0 * np.sqrt(0.25 / N_TRIALS)  # 0.00474 for a fair-coin rate

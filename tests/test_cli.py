@@ -82,6 +82,15 @@ class TestTrack:
         cell = 1.0 / 1023
         assert np.all(data["residual"] <= cell + 1e-15)
 
+        # at n = 16 the fixed jump threshold misses some steps: in such a row the
+        # located and the residual cells are both empty
+        out16 = tmp_path / "track16.csv"
+        main(["track", "--n", "16", "--out", str(out16)])
+        text = out16.read_text()
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert "nan" not in text and any(row[2] == "" for row in rows)
+        assert all((row[2] == "") == (row[3] == "") for row in rows)
+
 
 class TestDce:
     def test_csv_header_and_rows(self, tmp_path, scenario_file, capsys):

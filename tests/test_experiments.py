@@ -22,9 +22,9 @@ from splitphoton.experiments import (
     run_trials,
     sample_trial,
     scatter_positions,
-    window,
 )
 from splitphoton.validation import integrate
+from splitphoton.wavestate import window
 
 MODE = ModeSpec()
 

@@ -1,4 +1,8 @@
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitphoton.experiments import (
     Instrument,
@@ -78,6 +82,8 @@ class TestParsing:
             ("[detector]\nposition = 1.0\nposition = 2.0\n", 3, "duplicate key"),
             ("[run]\nsource_blocking = maybe\n", 2, "boolean"),
             ("[run]\ntrials = 10\nphase = 0.0\n", 3, "unknown key"),
+            ("[electron_gun]\nposition = -3.0\nefficiency = 0.1\n", 3, "unknown key"),
+            ("[electron_gun]\nposition = -3.0\nremoval = 3.5\n", 3, "unknown key"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -101,6 +107,7 @@ class TestParsing:
             ("[detector]\nposition = 3.0\nefficiency = 2.0\n", 3, "efficiency"),
             ("[run]\nmodel = coin-flip\n", 2, "unknown model"),
             ("[detector]\nid = D1\n", 1, "missing key 'position'"),
+            ("[detector]\nid =\nposition = 3.0\n", 2, "instrument id '' must be non-empty"),
         ],
     )
     def test_semantic_errors_carry_line_numbers(self, text, line, fragment):
@@ -126,7 +133,82 @@ class TestParsing:
             parse_scenario(text)
 
 
+class TestElectronGuns:
+    @pytest.mark.parametrize(
+        "fields,fragment",
+        [({"removal_time": 3.5}, "removal time"), ({"efficiency": 0.1}, "efficiency")],
+    )
+    def test_fields_with_no_effect_are_rejected(self, fields, fragment):
+        gun = Instrument("EG", InstrumentKind.ELECTRON_GUN, -3.0, 3.0, **fields)
+        with pytest.raises(ValueError, match=f"EG: {fragment} has no effect on an electron gun"):
+            Scenario(instruments=[gun]).validate()
+
+
+class TestInstrumentIds:
+    @pytest.mark.parametrize("bad", ["", "A#1", " A", "A ", "A\nB", "A\rB", "\t", "A\x85B"])
+    def test_ids_that_cannot_round_trip_are_rejected(self, bad):
+        ins = Instrument(bad, InstrumentKind.PHOTON_DETECTOR, 3.0)
+        with pytest.raises(ValueError, match="instrument id"):
+            ins.validate()
+        with pytest.raises(ValueError, match="instrument id"):
+            Scenario(instruments=[ins]).validate()
+
+    def test_ids_with_inner_spaces_and_punctuation_are_kept(self):
+        sc = parse_scenario("[detector]\nid = left arm, D-1 [a=b]\nposition = 3.0\n")
+        assert sc.instruments[0].id == "left arm, D-1 [a=b]"
+        assert parse_scenario(serialize_scenario(sc)) == sc
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TIME = st.floats(min_value=0.0, max_value=1e300)
+_POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+_ID = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=8)
+
+
+def _above(lo):
+    return st.floats(min_value=lo, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _scenarios(draw):
+    mode = ModeSpec(a=draw(_POSITIVE), n=draw(st.integers(1, 64)), c=draw(_POSITIVE))
+    mirror = draw(st.none() | _above(mode.a))
+    count = draw(st.integers(0, 4))
+    ids = draw(st.lists(_ID, min_size=count, max_size=count, unique=True))
+    positions = draw(st.lists(_FINITE, min_size=count, max_size=count, unique=True))
+    guns = draw(st.booleans())
+    instruments = []
+    for id, position in zip(ids, positions):
+        insertion = draw(_TIME)
+        if guns:
+            instruments.append(Instrument(id, InstrumentKind.ELECTRON_GUN, position, insertion))
+            continue
+        removal = draw(st.none() | _above(insertion))
+        efficiency = draw(st.floats(0.0, 1.0))
+        instruments.append(Instrument(id, InstrumentKind.PHOTON_DETECTOR, position, insertion,
+                                      removal, efficiency))
+    return Scenario(
+        mode=mode,
+        mirror_distance=mirror,
+        source_blocking=draw(st.booleans()),
+        instruments=instruments,
+        model=draw(st.sampled_from(OutcomeModel)),
+        trials=draw(st.integers(1, 10**9)),
+        seed=draw(st.integers(0, 2**128 - 1)),
+        tie_rule=draw(st.sampled_from(["earliest-inserted", "closest"])),
+    )
+
+
 class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(_scenarios())
+    def test_generated_scenarios_round_trip(self, sc):
+        sc.validate()
+        text = serialize_scenario(sc)
+        again = parse_scenario(text)
+        assert again == sc
+        assert serialize_scenario(again) == text
+
     def test_two_detector_round_trip(self):
         sc = parse_scenario(TWO_DETECTORS)
         assert parse_scenario(serialize_scenario(sc)) == sc

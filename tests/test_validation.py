@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from splitphoton import ModeSpec
+from splitphoton.reflection import Quantity
 from splitphoton.snapshot import reflection_snapshot
 from splitphoton.validation import (
+    JUMP_THRESHOLD,
+    LocatedJump,
     QuadratureError,
     identity_suite,
     integrate,
@@ -90,3 +93,45 @@ def test_identity_suite_residuals(s):
     assert res["sw_partition"] < 1e-12
     assert res["conservation"] < 1e-12
     assert res["ledger_vs_quadrature"] < 1e-8
+
+
+def _reference_jumps(snap, factor=JUMP_THRESHOLD):
+    """Brute-force locator: scan the cells one by one, closing a run of flagged
+    cells at the first unflagged one and keeping the run's first maximum."""
+    found = []
+    for y, quantity in ((snap.E, Quantity.DE_DX), (snap.B, Quantity.DB_DX)):
+        d2 = np.abs(y[:-2] - 2.0 * y[1:-1] + y[2:])
+        floor = 1e-12 * max(float(np.max(np.abs(y))), 1.0)
+        threshold = factor * max(float(np.median(d2[1:-1])), floor)
+        run = []
+        for i in range(len(d2) + 1):
+            if i < len(d2) and d2[i] > threshold:
+                run.append(i)
+            elif run:
+                best = run[0]
+                for j in run:
+                    if d2[j] > d2[best]:
+                        best = j
+                found.append(LocatedJump(float(snap.x[best + 1]), quantity, float(d2[best])))
+                run = []
+    return found
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_locate_jumps_matches_brute_force_on_track_grids(n):
+    mode = ModeSpec(n=n)
+    for s in np.linspace(0.0, mode.a, 52)[1:-1]:
+        snap = reflection_snapshot(mode, s, n_points=1024)
+        assert locate_jumps(snap) == _reference_jumps(snap)
+
+
+def test_locate_jumps_matches_brute_force_on_adjacent_runs():
+    # a spike in y at index k flags cells k-2..k: runs {0, 1} and {196, 197} at
+    # the ends, {3, 4, 5} and {7, 8, 9} one cell apart, {48..51} all tied
+    x = np.linspace(0.0, 1.0, 200)
+    e = np.zeros(200)
+    e[[1, 5, 9, 50, 51, 198]] = [1.0, 1.0, 2.0, 1.0, 1.0, 3.0]
+    snap = Snapshot("t", 0.0, x, e, -e, 2 * e * e)
+    jumps = locate_jumps(snap)
+    assert [round(j.location * 199) for j in jumps[:5]] == [1, 5, 9, 49, 198]
+    assert jumps == _reference_jumps(snap)
