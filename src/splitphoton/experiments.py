@@ -2,18 +2,23 @@
 
 A ``Scenario`` puts the source at the origin (pulse initially on
 [-a/2, a/2]), an optional ideal mirror at x = +D with D > a, and a set of
-photon detectors or electron guns with insertion schedules.  Trials are
-sampled from one candidate table per scenario, each row a way a trial can
-end with its exact probability mass, filled under one of two outcome models:
+photon detectors or electron guns with insertion schedules.
+``crossing_events(scenario)`` is the table every trial samples: each
+``CrossingEvent`` is one way a trial can end, with its instrument, ``Branch``
+label, time window, exact Born-rule mass, inverse-CDF table of click times or
+scatter positions, and flag.  A detector gets one event per sweep of a
+half-self across it (left, right, leading_pulse or trailing_pulse); a gun
+scenario gets one event of mass 1/2 per side (left, right), instrument-less
+where no gun meets the pulse.  Two outcome models read the table:
 
 * conventional QM: Born-rule clicks with exact single-photon
-  anti-coincidence, one row per crossing event;
+  anti-coincidence, one event per trial with its mass as probability;
 * "preferred way": a comparator model in which the photon deterministically
-  routes itself to the first-inserted reachable detector and always clicks.
+  routes itself to the first-inserted reachable instrument and always clicks.
 
 Trial ``i`` owns counter block ``i`` of a Philox stream keyed by the seed
-(Salmon et al., SC'11): four uniform doubles, the first picking a row and
-the second a position through the row's inverse-CDF table.  A run over
+(Salmon et al., SC'11): four uniform doubles, the first picking an event and
+the second a position through the event's inverse-CDF table.  A run over
 trials ``[start, stop)`` advances the counter to ``start``, so trial ``i``
 is a pure function of (seed, i) whatever the chunking or execution order.
 """
@@ -141,18 +146,37 @@ class Scenario:
         kinds = {ins.kind for ins in self.instruments}
         if len(kinds) > 1:
             raise ValueError("mixing photon detectors and electron guns is not supported")
+        sides = [ins.position < 0 for ins in self.instruments
+                 if ins.kind is InstrumentKind.ELECTRON_GUN]
+        if len(set(sides)) < len(sides):
+            raise ValueError("at most one electron gun per side is supported")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossingEvent:
-    instrument: Instrument
-    branch: str  # "left" | "right" | "reflected"
+    """One way a trial can end, with its exact Born-rule ``mass``: a detector
+    sweep over [t_start, t_end], or a gun shot at t_start = t_end (no instrument
+    when no gun is on the ``branch`` side, or, flagged "no-overlap", when its
+    shot misses the pulse).  ``table`` (cdf, value) maps a trial's uniform u to
+    ``interp(frac_lo + u (frac_hi - frac_lo), cdf, value)``: an absolute click
+    time, or a gun's scatter x."""
+
+    instrument: Optional[Instrument]
+    branch: Branch
     t_start: float
     t_end: float
     mass: float
-    frac_lo: float  # pulse-profile CDF bounds of the portion caught
-    frac_hi: float
-    sweep_t0: float  # moment the pulse's leading edge crosses the instrument
+    frac_lo: float = 0.0  # pulse-profile CDF bounds of the portion caught
+    frac_hi: float = 1.0
+    flag: Optional[str] = None
+    table: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CrossingEvent):
+            return NotImplemented
+        mine, theirs = dict(vars(self)), dict(vars(other))
+        # == on the table's arrays would compare them elementwise
+        return np.array_equal(mine.pop("table"), theirs.pop("table")) and mine == theirs
 
 
 @dataclass(frozen=True)
@@ -260,188 +284,131 @@ def _table(mode: ModeSpec, pieces: tuple[Piece, ...], offset: float
 
 
 def crossing_events(scenario: Scenario) -> list[CrossingEvent]:
-    """Ordered pulse-sweep events with per-instrument probability mass.
-
-    Each half-self carries mass 1/2.  The right half-self may sweep a
-    detector twice (incident, then reflected); detectors earlier on the
-    same branch shadow later ones by the fraction they caught.  Events
-    with vanishing mass are dropped.
-    """
+    """The ways a trial can end with their exact masses: one gun event per side,
+    LEFT then RIGHT, or detector sweeps by start time.  Each half-self carries
+    mass 1/2; the right half-self may sweep a detector twice (incident, then
+    reflected), and detectors earlier on the same branch shadow later ones by
+    the fraction they caught.  Sweeps with vanishing mass are dropped."""
     scenario.validate()
     mode = scenario.mode
     a, c = mode.a, mode.c
     D = scenario.mirror_distance
+    # one pulse profile on [0, a]: sweep fractions, click times, free-pulse scatter
     profile = wavestate.pulse_pieces(mode, 0.0, 1)
+    if any(ins.kind is InstrumentKind.ELECTRON_GUN for ins in scenario.instruments):
+        return [_gun_event(scenario, side, profile) for side in (Branch.LEFT, Branch.RIGHT)]
     whole = wavestate.cumulative(profile, mode.k, a)
+    cdf, depth = _table(mode, profile, 0.0)  # depth behind the leading edge
 
     def passed(u: float) -> float:
         """Fraction of one pulse profile within distance u of its leading edge."""
         return wavestate.cumulative(profile, mode.k, u) / whole
 
-    dets = [ins for ins in scenario.instruments if ins.kind is InstrumentKind.PHOTON_DETECTOR]
-
-    sweeps: list[tuple[str, Instrument, float]] = []
-    for det in dets:
+    reflection_end = math.inf if D is None else (D + a / 2.0) / c
+    # per half-self: (branch, detector, moment the pulse's leading edge crosses it)
+    left: list[tuple[Branch, Instrument, float]] = []
+    right: list[tuple[Branch, Instrument, float]] = []
+    for det in scenario.instruments:
         p = det.position
         if p < a / 2.0:
-            sweeps.append(("left", det, (-p - a / 2.0) / c))
+            t0 = (-p - a / 2.0) / c
+            # after reflection, the left half-self leads the one-way pair
+            left.append((Branch.LEADING_PULSE if t0 >= reflection_end else Branch.LEFT, det, t0))
         if p > -a / 2.0 and (D is None or p < D):
-            sweeps.append(("right", det, (p - a / 2.0) / c))
+            right.append((Branch.RIGHT, det, (p - a / 2.0) / c))
         if D is not None and p < D and (not scenario.source_blocking or p > a / 2.0):
-            sweeps.append(("reflected", det, (2.0 * D - p - a / 2.0) / c))
+            right.append((Branch.TRAILING_PULSE, det, (2.0 * D - p - a / 2.0) / c))
 
     events: list[CrossingEvent] = []
-    for chain_branches in (("left",), ("right", "reflected")):
-        chain = sorted(
-            (sw for sw in sweeps if sw[0] in chain_branches),
-            key=lambda sw: (sw[2], sw[1].id),
-        )
+    for chain in (left, right):
         remaining = 1.0
-        for branch, det, t0 in chain:
+        for branch, det, t0 in sorted(chain, key=lambda sw: (sw[2], sw[1].id)):
             if remaining <= _MASS_EPS:
                 break
             f_lo = passed(c * (det.insertion_time - t0))
             f_hi = 1.0 if det.removal_time is None else passed(c * (det.removal_time - t0))
-            frac = max(0.0, f_hi - f_lo)
-            caught = frac * det.efficiency
+            caught = max(0.0, f_hi - f_lo) * det.efficiency
             mass = 0.5 * remaining * caught
             if mass > _MASS_EPS:
                 removal = math.inf if det.removal_time is None else det.removal_time
                 events.append(CrossingEvent(det, branch, max(det.insertion_time, t0),
-                                            min(removal, t0 + a / c), mass, f_lo, f_hi, t0))
+                                            min(removal, t0 + a / c), mass, f_lo, f_hi,
+                                            table=(cdf, t0 + depth / c)))
             remaining *= 1.0 - caught
     events.sort(key=lambda ev: (ev.t_start, ev.instrument.id))
     return events
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """One way a trial can end, with its exact probability ``mass``.  A row with a
-    ``table`` (cdf, value) maps the trial's uniform u to ``interp(frac_lo + u
-    (frac_hi - frac_lo), cdf, value)``: a detector's click time, a gun's scatter x."""
+def _gun_event(scenario: Scenario, side: Branch, profile: tuple[Piece, ...]) -> CrossingEvent:
+    """The half-self on ``side`` meets the gun there, if any, with probability 1/2,
+    and scatters on that side's pulse pieces at the shot time.  The pieces end at
+    the leading edge of a free pulse, at the mirror during reflection; the gun
+    overlaps when within one pulse length behind that end."""
+    gun = next((ins for ins in scenario.instruments if ins.kind is InstrumentKind.ELECTRON_GUN
+                and (ins.position < 0) == (side is Branch.LEFT)), None)  # validate: one a side
+    if gun is None:
+        return CrossingEvent(None, side, math.inf, math.inf, 0.5)
+    mode = scenario.mode
+    a = mode.a
+    shot = gun.insertion_time
+    ct = mode.c * shot
+    D = scenario.mirror_distance
+    # reflection moment of the right half-self; negative before mirror contact
+    s = -1.0 if D is None or gun.position < 0 else ct - (D - a / 2.0)
+    pieces = profile
+    if 0.0 <= s <= a:
+        offset, pieces = D, reflection.reflection_pieces(mode, s)
+    elif s > a:
+        offset = 2.0 * D - ct - a / 2.0  # detached reflected pulse moving left
+    elif gun.position < 0:
+        offset = -ct - a / 2.0
+    else:
+        offset = ct - a / 2.0  # incident pulse, source frame
+    end = offset + pieces[-1].hi
+    if not end - a <= gun.position <= end:
+        return CrossingEvent(None, side, shot, shot, 0.5, flag="no-overlap")
+    return CrossingEvent(gun, side, shot, shot, 0.5, table=_table(mode, pieces, offset))
 
-    instrument: Optional[Instrument]
-    mass: float
-    branch: Branch
-    flag: Optional[str] = None
-    table: Optional[tuple[np.ndarray, np.ndarray]] = None
-    frac_lo: float = 0.0
-    frac_hi: float = 1.0
+
+def _comparator(scenario: Scenario, events: list[CrossingEvent]) -> list[CrossingEvent]:
+    """The comparator's pick under the tie rule as one certain event, flagged when
+    the two tie rules disagree."""
+    found = [ev.instrument for ev in events if ev.instrument is not None]
+    if not found:
+        return []
+    by_insertion = min(found, key=lambda i: (i.insertion_time, i.id))
+    by_distance = min(found, key=lambda i: (abs(i.position), i.id))
+    chosen = by_insertion if scenario.tie_rule == "earliest-inserted" else by_distance
+    flag = None if by_insertion is by_distance else "model-undetermined"
+    first = next(ev for ev in events if ev.instrument is chosen)
+    return [dataclasses.replace(first, mass=1.0, flag=flag)]
 
 
-class _Simulator:
-    """The per-scenario candidate table shared by all trials."""
-
-    def __init__(self, scenario: Scenario):
-        scenario.validate()
-        self.scenario = scenario
-        # one pulse profile on [0, a]: click-time table and free-pulse gun tables
-        self._profile = wavestate.pulse_pieces(scenario.mode, 0.0, 1)
-        guns = [ins for ins in scenario.instruments if ins.kind is InstrumentKind.ELECTRON_GUN]
-        self._gun_tables = {gun.id: self._gun_table(gun) for gun in guns}
-        rows = self._gun_rows(guns) if guns else self._event_rows()
-        # reachable: detectors with crossing mass, guns whose shot overlaps the pulse
-        self.reachable = [ins for ins in scenario.instruments
-                          if any(row.instrument is ins for row in rows)]
-        if scenario.model is OutcomeModel.PREFERRED_WAY:
-            rows = self._preferred(rows)
-        self.candidates = rows
-
-    def _event_rows(self) -> list[_Candidate]:
-        """One row per crossing event; its click time follows the pulse profile."""
-        mode = self.scenario.mode
-        cdf, u = _table(mode, self._profile, 0.0)
-        D = self.scenario.mirror_distance
-        reflection_end = math.inf if D is None else (D + mode.a / 2.0) / mode.c
-        rows = []
-        for ev in crossing_events(self.scenario):
-            if ev.branch == "left":
-                # after reflection, the left half-self leads the one-way pair
-                branch = Branch.LEADING_PULSE if ev.sweep_t0 >= reflection_end else Branch.LEFT
-            else:
-                branch = Branch.RIGHT if ev.branch == "right" else Branch.TRAILING_PULSE
-            rows.append(_Candidate(ev.instrument, ev.mass, branch, None,
-                                   (cdf, ev.sweep_t0 + u / mode.c), ev.frac_lo, ev.frac_hi))
-        return rows
-
-    def _gun_rows(self, guns: list[Instrument]) -> list[_Candidate]:
-        """Each half-self meets the gun on its side, if any, with probability 1/2."""
-        rows = []
-        for side in (Branch.LEFT, Branch.RIGHT):
-            here = [gun for gun in guns if (gun.position < 0) == (side is Branch.LEFT)]
-            if len(here) > 1:
-                raise ValueError("at most one electron gun per side is supported")
-            table = self._gun_tables[here[0].id] if here else None
-            if table is None:
-                rows.append(_Candidate(None, 0.5, side, "no-overlap" if here else None))
-            else:
-                rows.append(_Candidate(here[0], 0.5, side, table=table))
-        return rows
-
-    def _preferred(self, rows: list[_Candidate]) -> list[_Candidate]:
-        """The comparator's pick under the tie rule as a certain outcome, flagged
-        when the two tie rules disagree."""
-        if not self.reachable:
-            return []
-        by_insertion = min(self.reachable, key=lambda i: (i.insertion_time, i.id))
-        by_distance = min(self.reachable, key=lambda i: (abs(i.position), i.id))
-        chosen = by_insertion if self.scenario.tie_rule == "earliest-inserted" else by_distance
-        flag = None if by_insertion is by_distance else "model-undetermined"
-        first = next(row for row in rows if row.instrument is chosen)
-        return [dataclasses.replace(first, mass=1.0, flag=flag)]
-
-    def _gun_table(self, gun: Instrument) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Scatter table of the pulse on the gun's side at its shot time, or None.
-
-        The pieces end at the leading edge of a free pulse, at the mirror during
-        reflection; the gun overlaps when within one pulse length behind that end.
-        """
-        mode = self.scenario.mode
-        a = mode.a
-        ct = mode.c * gun.insertion_time
-        D = self.scenario.mirror_distance
-        # reflection moment of the right half-self; negative before mirror contact
-        s = -1.0 if D is None or gun.position < 0 else ct - (D - a / 2.0)
-        pieces = self._profile
-        if 0.0 <= s <= a:
-            offset, pieces = D, reflection.reflection_pieces(mode, s)
-        elif s > a:
-            offset = 2.0 * D - ct - a / 2.0  # detached reflected pulse moving left
-        elif gun.position < 0:
-            offset = -ct - a / 2.0
+def _sample(scenario: Scenario, events: list[CrossingEvent], start: int, stop: int) -> Trials:
+    """Trials [start, stop); trial i takes the doubles of Philox counter block i."""
+    bits = np.random.Philox(key=scenario.seed).advance(start)
+    u = np.random.Generator(bits).random((stop - start, _BLOCK))
+    pick = np.searchsorted(np.cumsum([ev.mass for ev in events]), u[:, 0], side="right")
+    # the codes end with the no-click outcome, picked where u0 passes the total mass
+    ids = tuple(ins.id for ins in scenario.instruments)
+    codes = [(-1 if ev.instrument is None else ids.index(ev.instrument.id),
+              Trials.BRANCHES.index(ev.branch), Trials.FLAGS.index(ev.flag))
+             for ev in events] + [(-1, Trials.BRANCHES.index(Branch.NONE), 0)]
+    instrument, branch, flag = np.array(codes).T[:, pick]
+    click_time, scatter_x = np.full((2, len(pick)), np.nan)
+    for r, ev in enumerate(events):
+        hit = pick == r
+        if ev.table is None or not hit.any():
+            continue
+        value = np.interp(ev.frac_lo + u[hit, 1] * (ev.frac_hi - ev.frac_lo), *ev.table)
+        if ev.instrument.kind is InstrumentKind.ELECTRON_GUN:
+            click_time[hit] = ev.t_start
+            scatter_x[hit] = value
         else:
-            offset = ct - a / 2.0  # incident pulse, source frame
-        end = offset + pieces[-1].hi
-        if not end - a <= gun.position <= end:
-            return None
-        return _table(mode, pieces, offset)
-
-    def sample(self, start: int, stop: int) -> Trials:
-        """Trials [start, stop); trial i takes the doubles of Philox counter block i."""
-        rows = self.candidates
-        bits = np.random.Philox(key=self.scenario.seed).advance(start)
-        u = np.random.Generator(bits).random((stop - start, _BLOCK))
-        pick = np.searchsorted(np.cumsum([row.mass for row in rows]), u[:, 0], side="right")
-        # the codes end with the no-click outcome, picked where u0 passes the total mass
-        ids = tuple(ins.id for ins in self.scenario.instruments)
-        codes = [(-1 if row.instrument is None else ids.index(row.instrument.id),
-                  Trials.BRANCHES.index(row.branch), Trials.FLAGS.index(row.flag))
-                 for row in rows] + [(-1, Trials.BRANCHES.index(Branch.NONE), 0)]
-        instrument, branch, flag = np.array(codes).T[:, pick]
-        click_time, scatter_x = np.full((2, len(pick)), np.nan)
-        for r, row in enumerate(rows):
-            hit = pick == r
-            if row.table is None or not hit.any():
-                continue
-            value = np.interp(row.frac_lo + u[hit, 1] * (row.frac_hi - row.frac_lo), *row.table)
-            if row.instrument.kind is InstrumentKind.ELECTRON_GUN:
-                click_time[hit] = row.instrument.insertion_time
-                scatter_x[hit] = value
-            else:
-                click_time[hit] = value
-        expected = tuple(min(1.0, math.fsum(row.mass for row in rows if row.instrument is ins))
-                         for ins in self.scenario.instruments)
-        return Trials(ids, expected, instrument, click_time, scatter_x, branch, flag)
+            click_time[hit] = value
+    expected = tuple(min(1.0, math.fsum(ev.mass for ev in events if ev.instrument is ins))
+                     for ins in scenario.instruments)
+    return Trials(ids, expected, instrument, click_time, scatter_x, branch, flag)
 
 
 def run_trials(scenario: Scenario, start: int = 0, stop: Optional[int] = None) -> Trials:
@@ -450,7 +417,10 @@ def run_trials(scenario: Scenario, start: int = 0, stop: Optional[int] = None) -
     stop = scenario.trials if stop is None else stop
     if not 0 <= start <= stop:
         raise ValueError("trial range must satisfy 0 <= start <= stop")
-    return _Simulator(scenario).sample(start, stop)
+    events = crossing_events(scenario)
+    if scenario.model is OutcomeModel.PREFERRED_WAY:
+        events = _comparator(scenario, events)
+    return _sample(scenario, events, start, stop)
 
 
 def sample_trial(scenario: Scenario, trial_index: int) -> TrialOutcome:
@@ -459,21 +429,25 @@ def sample_trial(scenario: Scenario, trial_index: int) -> TrialOutcome:
 
 
 def reachable(scenario: Scenario) -> list[Instrument]:
-    """Instruments the photon can reach: detectors with crossing mass, guns whose
+    """Instruments of ``crossing_events``: detectors with crossing mass, guns whose
     shot overlaps the pulse.  The comparator model picks among these."""
-    return _Simulator(scenario).reachable
+    events = crossing_events(scenario)
+    return [ins for ins in scenario.instruments if any(ev.instrument is ins for ev in events)]
 
 
 def scatter_positions(scenario: Scenario, gun_id: str, n: int, seed: int = 0) -> np.ndarray:
     """Draw n scatter positions from a gun's instantaneous-density sampler.
 
-    Conditions on the photon being on the gun's side; raises if the gun's
-    shot does not overlap the pulse.
+    Conditions on the photon being on the gun's side; raises if ``gun_id`` is
+    not an electron gun of the scenario or its shot does not overlap the pulse.
     """
-    table = _Simulator(scenario)._gun_tables.get(gun_id)
-    if table is None:
+    gun = next((ins for ins in scenario.instruments if ins.id == gun_id), None)
+    if gun is None or gun.kind is not InstrumentKind.ELECTRON_GUN:
+        raise ValueError(f"{gun_id!r} is not an electron gun of the scenario")
+    event = next((ev for ev in crossing_events(scenario) if ev.instrument is gun), None)
+    if event is None:
         raise ValueError(f"gun {gun_id!r} has no pulse overlap at its shot time")
-    return np.interp(np.random.default_rng(seed).random(n), *table)
+    return np.interp(np.random.default_rng(seed).random(n), *event.table)
 
 
 def _z_score(count: int, n: int, p: float) -> float:

@@ -34,7 +34,9 @@ Only ``position`` is required: an omitted key takes its dataclass field's
 default, an omitted id is ``D<k>``/``EG<k>`` for the k-th instrument section.
 Ids are non-empty, without ``#``, line breaks or surrounding whitespace.
 Unknown sections or keys, non-finite numbers and values that fail validation
-are rejected with the offending line number.
+are rejected with the offending line number; a rule across instruments
+(distinct ids and positions, one kind, one electron gun per side) with the
+header line of the first section that breaks it.
 """
 
 from __future__ import annotations
@@ -129,6 +131,12 @@ def _instrument(kind: InstrumentKind, default_id: str, fields: dict) -> Instrume
     return ins
 
 
+def _scenario(**fields) -> Scenario:
+    scenario = Scenario(**fields)
+    scenario.validate()
+    return scenario
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario file."""
     sections = {name: _Section(name) for name in ("mode", "mirror", "run")}
@@ -169,22 +177,22 @@ def parse_scenario(text: str) -> Scenario:
     mirror = sections["mirror"]
     if mirror.line is not None and not mirror:
         raise ScenarioError("[mirror] section requires key D", mirror.line)
-    _build(mirror, lambda fields: Scenario(mode=mode, **fields).validate())
+    _build(mirror, lambda fields: _scenario(mode=mode, **fields))
 
-    built: list[Instrument] = []
+    # instrument index -> Instrument, at its section's header line
+    listed = _Section("instruments")
     for index, fields in enumerate(instruments, start=1):
         if "position" not in fields:
             raise ScenarioError(f"[{fields.name}] section #{index} is missing key 'position'",
                                 fields.line)
         kind, prefix = _KINDS[fields.name]
-        built.append(_build(fields, lambda f: _instrument(kind, f"{prefix}{index}", f)))
+        listed[index] = _build(fields, lambda f: _instrument(kind, f"{prefix}{index}", f))
+        listed.lines[index] = fields.line
 
-    scenario = Scenario(mode=mode, instruments=built, **mirror, **sections["run"])
-    try:
-        scenario.validate()
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-    return scenario
+    run = sections["run"]
+    _build(run, lambda fields: _scenario(mode=mode, **mirror, **fields))
+    return _build(listed, lambda found: _scenario(mode=mode, instruments=list(found.values()),
+                                                   **mirror, **run))
 
 
 def _text(value) -> str:

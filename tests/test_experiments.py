@@ -102,7 +102,7 @@ class TestCrossingEvents:
         sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[near, far])
         events = crossing_events(sc)
         assert [ev.instrument.id for ev in events] == ["DN"]
-        assert events[0].branch == "reflected"
+        assert events[0].branch is Branch.TRAILING_PULSE
 
     def test_efficiency_scales_mass(self):
         sc = Scenario(mode=MODE, instruments=[detector("D1", 3.0, efficiency=0.25)])
@@ -124,13 +124,41 @@ class TestCrossingEvents:
         # detector inserted only after the incident sweep has passed
         late = detector("D1", 3.0, insertion=6.0)
         back = Scenario(mode=MODE, mirror_distance=5.0, instruments=[late])
-        assert [ev.branch for ev in crossing_events(back)] == ["reflected"]
+        assert [ev.branch for ev in crossing_events(back)] == [Branch.TRAILING_PULSE]
         blocked = Scenario(
             mode=MODE, mirror_distance=5.0, instruments=[detector("D1", -2.0, insertion=8.0)],
             source_blocking=True,
         )
         assert crossing_events(blocked) == []
         assert len(crossing_events(open_sc)) == 2  # incident + reflected sweeps
+
+
+    def test_gun_scenario_has_one_event_per_side(self):
+        # EGL at x = -3 meets the left pulse at t = 3; EGR fires at t = 9, long
+        # after the right pulse has passed x = 3
+        sc = _stream_scenarios()["guns"]
+        left, right = crossing_events(sc)
+        assert (left.mass, right.mass) == (0.5, 0.5)
+        assert (left.branch, right.branch) == (Branch.LEFT, Branch.RIGHT)
+        assert left.instrument.id == "EGL" and left.t_start == left.t_end == 3.0
+        assert left.flag is None and left.table is not None
+        assert right.instrument is None and right.flag == "no-overlap" and right.table is None
+
+    def test_equality_compares_tables_by_value(self):
+        sc = _stream_scenarios()["detectors"]
+        first, again = crossing_events(sc), crossing_events(sc)
+        assert first == again and first[0].table[1] is not again[0].table[1]
+        assert first[0] != dataclasses.replace(first[0], table=(first[0].table[0],
+                                                                 first[0].table[1] + 1.0))
+        assert first[0] != dataclasses.replace(first[0], table=None)
+        assert "table" not in repr(first[0]) and "array" not in repr(first[0])
+
+    @pytest.mark.parametrize("name", ["detectors", "guns", "preferred"])
+    def test_reachable_are_the_instruments_of_the_events(self, name):
+        sc = _stream_scenarios()[name]
+        instruments = {ev.instrument for ev in crossing_events(sc) if ev.instrument is not None}
+        found = reachable(sc)
+        assert found and len(found) == len(instruments) and set(found) == instruments
 
 
 class TestSampling:
@@ -236,6 +264,12 @@ class TestElectronGuns:
         outcomes = run_trials(sc)
         left = [o for o in outcomes if o.resolved_branch is Branch.LEFT]
         assert left and all(o.flag == "no-overlap" and o.clicked is None for o in left)
+
+    @pytest.mark.parametrize("gun_id", ["D1", "nope"])
+    def test_scatter_positions_needs_a_gun(self, gun_id):
+        sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[detector("D1", 3.0)])
+        with pytest.raises(ValueError, match=f"'{gun_id}' is not an electron gun"):
+            scatter_positions(sc, gun_id, 10)
 
     def test_scatter_positions_within_support(self):
         sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[gun("EG", 4.2, 5.0)])
@@ -350,12 +384,14 @@ class TestTrialsSequence:
 
 
 class TestRateAudit:
-    def test_expected_is_sum_of_masses(self):
-        sc = _stream_scenarios()["detectors"]
+    @pytest.mark.parametrize("name", ["detectors", "guns"])
+    def test_expected_is_sum_of_masses(self, name):
+        sc = _stream_scenarios()[name]
         report = run(sc)
-        masses = {"DR": 0.0, "DL": 0.0}
+        masses = {ins.id: 0.0 for ins in sc.instruments}
         for ev in crossing_events(sc):
-            masses[ev.instrument.id] += ev.mass
+            if ev.instrument is not None:
+                masses[ev.instrument.id] += ev.mass
         assert {k: stats.expected for k, stats in report.per_instrument.items()} == masses
         assert report.rate_violations == 0
         assert all(abs(stats.z) <= Z_BOUND for stats in report.per_instrument.values())
@@ -414,6 +450,12 @@ class TestScenarioValidation:
         sc = Scenario(mode=MODE, instruments=[detector("A", 3.0), gun("B", -3.0, 3.0)])
         with pytest.raises(ValueError, match="mixing"):
             sc.validate()
+
+    def test_one_gun_per_side(self):
+        sc = Scenario(mode=MODE, instruments=[gun("A", -3.0, 3.0), gun("B", -4.0, 3.0)])
+        with pytest.raises(ValueError, match="at most one electron gun per side"):
+            sc.validate()
+        Scenario(mode=MODE, instruments=[gun("A", -3.0, 3.0), gun("B", 4.0, 3.0)]).validate()
 
     @pytest.mark.parametrize(
         "scenario",

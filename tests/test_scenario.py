@@ -108,6 +108,16 @@ class TestParsing:
             ("[run]\nmodel = coin-flip\n", 2, "unknown model"),
             ("[detector]\nid = D1\n", 1, "missing key 'position'"),
             ("[detector]\nid =\nposition = 3.0\n", 2, "instrument id '' must be non-empty"),
+            ("[run]\nseed = 1\ntrials = 0\n", 3, "trial count must be at least 1"),
+            ("[run]\nseed = 340282366920938463463374607431768211456\n", 2, "seed must lie in"),
+            ("[run]\ntie_rule = nearest\nseed = 3\n", 2, "unknown tie rule"),
+            ("[detector]\nid = A\nposition = 1.0\n[detector]\nposition = 2.0\n"
+             "[detector]\nid = A\nposition = 3.0\n", 6, "ids must be distinct"),
+            ("[detector]\nposition = 1.0\n\n[detector]\nposition = 1.0\n", 4,
+             "positions must be distinct"),
+            ("[detector]\nposition = 1.0\n[electron_gun]\nposition = -3.0\n", 3, "mixing"),
+            ("[electron_gun]\nposition = -3.0\n[electron_gun]\nposition = 3.0\n"
+             "[electron_gun]\nposition = -4.0\n", 5, "at most one electron gun per side"),
         ],
     )
     def test_semantic_errors_carry_line_numbers(self, text, line, fragment):
@@ -181,6 +191,8 @@ def _scenarios(draw):
     for id, position in zip(ids, positions):
         insertion = draw(_TIME)
         if guns:
+            if any((g.position < 0) == (position < 0) for g in instruments):
+                continue  # at most one gun per side
             instruments.append(Instrument(id, InstrumentKind.ELECTRON_GUN, position, insertion))
             continue
         removal = draw(st.none() | _above(insertion))
