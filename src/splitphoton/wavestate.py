@@ -201,16 +201,20 @@ def eigenmode(mode: ModeSpec, x: ArrayLike, t: float) -> FieldSample:
 
 
 def boundary_check(mode: ModeSpec) -> tuple[float, float]:
-    """Residuals of the wall conditions, evaluated analytically.
+    """Residuals of the wall conditions, read from the eigenmode's piece table.
 
-    Returns (|E(0)| + |E(a)|, |dB/dx(0)| + |dB/dx(a)|) at the instant of
-    the respective field's maximum; both vanish to round-off since the
-    spatial factors are sin(kx) and -k sin(kx).
+    Returns (|E(0+)| + |E(a-)|, |dB/dx(0+)| + |dB/dx(a-)|): the one-sided
+    ``limits`` inside the cavity of ``eigenmode_pieces`` and of their
+    ``derivative``, each at the instant of its field's maximum (t = 0 for E,
+    a quarter period for B).  Both vanish up to round-off in the argument
+    kx + phase, which reaches (n + 1) pi at the far wall.
     """
-    amp = mode.amplitude
-    e_res = abs(amp * np.sin(0.0)) + abs(amp * np.sin(mode.k * mode.a))
-    b_res = abs(amp * mode.k * np.sin(0.0)) + abs(amp * mode.k * np.sin(mode.k * mode.a))
-    return float(e_res), float(b_res)
+    k, a = mode.k, mode.a
+    fields = eigenmode_pieces(mode, 0.0)
+    slopes = derivative(eigenmode_pieces(mode, 0.5 * math.pi / mode.omega), k)
+    e_res = abs(limits(fields, k, 0.0)[1].E) + abs(limits(fields, k, a)[0].E)
+    b_res = abs(limits(slopes, k, 0.0)[1].B) + abs(limits(slopes, k, a)[0].B)
+    return e_res, b_res
 
 
 def split_state(mode: ModeSpec, x: ArrayLike, t: float) -> FieldSample:

@@ -1,11 +1,16 @@
+import csv
 import dataclasses
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitphoton import experiments
-from splitphoton.cli import main
+from splitphoton.cli import _write_csv, main
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -32,6 +37,66 @@ def scenario_file(tmp_path):
     path = tmp_path / "two_detectors.txt"
     path.write_text(SCENARIO)
     return str(path)
+
+
+def _reference_csv(path, header, columns, digits17):
+    """Reference writer: ``csv.writer`` over Python values.
+
+    Floats are rendered by ``repr`` (csv's own ``str``), or by
+    ``format(v, ".17g")`` under ``digits17``; NaN is None, an empty field.
+    """
+    def values(col):
+        if isinstance(col, tuple):
+            labels, codes = col
+            return [labels[c] for c in codes.tolist()]
+        if col.dtype.kind != "f":
+            return col.tolist()
+        return [None if math.isnan(v) else format(v, ".17g") if digits17 else v
+                for v in col.tolist()]
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*[values(col) for col in columns]))
+
+
+_SPECIAL_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -2.5e-310,
+                   2.2250738585072014e-308, 1e-308, 1.7976931348623157e308, -1e308, 0.1,
+                   1.0 / 3.0]
+
+
+@st.composite
+def _tables(draw):
+    """Header and columns of float, int and label kinds, drawn from small pools."""
+    rows = draw(st.sampled_from([0, 1, 1023, 1024, 1025]) | st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "label"]), min_size=2, max_size=5))
+    columns = []
+    for kind in kinds:
+        if kind == "float":
+            pool = _SPECIAL_FLOATS + draw(st.lists(st.floats(), max_size=8))
+            columns.append(np.array(pool)[rng.integers(0, len(pool), rows)])
+        elif kind == "int":
+            pool = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=8))
+            columns.append(np.array(pool, dtype=np.int64)[rng.integers(0, len(pool), rows)])
+        else:
+            label = st.text(st.sampled_from('ab ,"x'), max_size=6)
+            labels = draw(st.lists(label, min_size=1, max_size=5)) + [""]
+            columns.append((labels, rng.integers(-1, len(labels), rows)))
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+class TestWriteCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(table=_tables(), digits17=st.booleans())
+    def test_bytes_match_csv_writer(self, table, digits17):
+        header, columns = table
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, ref = os.path.join(tmp, "ours.csv"), os.path.join(tmp, "ref.csv")
+            _write_csv(ours, header, columns, digits17)
+            _reference_csv(ref, header, columns, digits17)
+            with open(ours, "rb") as a, open(ref, "rb") as b:
+                assert a.read() == b.read()
 
 
 class TestSnapshot:
@@ -170,6 +235,22 @@ class TestDce:
             assert instrument in ("DR", "DL") and scatter_x == ""
             assert click_time == format(float(click_time), ".17g")
 
+    def test_label_quoting_reads_back(self, tmp_path):
+        path = tmp_path / "quoted.txt"
+        path.write_text('[detector]\nid = D,"R" 1\nposition = 3.0\nefficiency = 0.5\n'
+                        '[run]\ntrials = 200\nseed = 3\n')
+        out = tmp_path / "quoted.csv"
+        assert main(["dce", str(path), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '"D,""R"" 1"' in text
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 200 and all(len(row) == 5 for row in rows)
+        assert {row[1] for row in rows} == {'D,"R" 1', ""}
+        lines = text.splitlines()[1:]
+        for line, row in zip(lines, rows):  # a trial with no click has an empty, unquoted cell
+            assert (row[1] == "") == line.startswith(f"{row[0]},,")
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["dce", str(tmp_path / "nope.txt")]) == 1
 
@@ -201,6 +282,11 @@ class TestCheck:
     def test_higher_mode(self, capsys):
         assert main(["check", "--n", "3"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_wall_conditions_hold_at_n64(self, capsys):
+        main(["check", "--n", "64"])  # the quadrature lines may still fail at n = 64
+        wall = capsys.readouterr().out.splitlines()[0]
+        assert wall.startswith("OK   cavity wall conditions")
 
 
 class TestUsage:

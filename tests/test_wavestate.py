@@ -10,6 +10,7 @@ from splitphoton import (
     mirror_timing,
     nonlocality_range,
     split_state,
+    wavestate,
 )
 from splitphoton.validation import integrate
 from splitphoton.wavestate import cumulative, eigenmode_pieces, split_pieces
@@ -74,6 +75,21 @@ class TestBoundaryCheck:
     def test_residuals_vanish(self, a, n):
         e_res, b_res = boundary_check(ModeSpec(a=a, n=n))
         assert e_res < 1e-12 and b_res < 1e-11
+
+    @pytest.mark.parametrize("n", [1, 16, 64, 200])
+    def test_round_off_within_scaled_bound(self, n):
+        e_res, b_res = boundary_check(ModeSpec(n=n))
+        assert max(e_res, b_res) <= 1e-12 * n**2
+
+    def test_reads_the_field_pieces(self, monkeypatch):
+        # a cosine-shaped eigenmode breaks E = 0 at the walls, and the check sees it
+        def shifted(mode, t):
+            (piece,) = eigenmode_pieces(mode, t)
+            return (piece._replace(e_phase=0.5 * np.pi, b_phase=np.pi),)
+
+        monkeypatch.setattr(wavestate, "eigenmode_pieces", shifted)
+        e_res, b_res = boundary_check(ModeSpec())
+        assert e_res == pytest.approx(2.0 * SQRT2) and b_res == pytest.approx(2.0 * np.pi * SQRT2)
 
     def test_against_finite_difference(self):
         # independent check of dB/dx at the walls
