@@ -3,22 +3,29 @@
 Subcommands: snapshot | energy | track | dce | check.  All numeric CSV
 output uses shortest round-trip decimals (Python ``repr``) by default;
 ``--digits17`` switches to fixed 17-significant-digit rendering.  Every
-command writes its CSV through ``_write_csv``, which formats a batch of
-rows one column at a time: one ``%`` over a per-cell template for a
-number column, and a gather of pre-quoted labels for a label column.
+command writes its CSV through ``_write_csv``, a batch of rows at a time.
+Each column of a batch becomes fixed-width byte slots holding right-aligned
+cell text, and one boolean compaction of the slots and the separator columns
+yields the batch's rows.  Float slots come from ``shortest.repr_slots``, a
+vectorised writer of ``repr``'s digits, or under ``--digits17`` from one
+``%24.17g`` ``%``; int slots from one ``%20d`` ``%``; label slots from a
+gather of pre-quoted labels.
 
-Exit codes: 0 success, 1 usage or parse error, 2 invariant violation.
+Exit codes: 0 success, 1 usage or parse error, 2 invariant violation, 141
+when stdout is closed early (as by ``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import experiments, reflection, validation, wavestate
+from . import experiments, reflection, shortest, validation, wavestate
 from .scenario import ScenarioError, load_scenario
 from .snapshot import free_snapshot, reflection_snapshot
 from .wavestate import ModeSpec
@@ -26,10 +33,19 @@ from .wavestate import ModeSpec
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
-# CSV rows per batch, each column of a batch formatted by one ``%``: enough for
-# per-batch costs to vanish, few enough that the text held stays small (4096-row
-# batches raised the peak RSS of ``snapshot --grid 100000`` from ~42 to ~48 MB)
-_CSV_CHUNK = 1024
+EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as a shell reports it
+# CSV rows per batch: each column of a batch becomes right-aligned text slots in
+# one buffer of ~100 bytes a row, and the vectorised float writer holds ~350
+# bytes a value while it runs.  2048 rows keep its per-call cost small and the
+# peak RSS of the field-grid benchmark within 1% of 1024-row batches (4096 rows
+# ran ~8% faster but added ~1.5-2%)
+_CSV_CHUNK = 2048
+# below this many cells a float column is formatted by one ``%`` over a ``%24r``
+# template: the vectorised writer's fixed cost of ~0.25 ms outweighs ``repr``'s
+# ~1 us a cell (crossover near 350-400 cells on a 2-core x86 host), as in the
+# 50-row ``track`` tables
+_REPR_KERNEL_MIN = 400
+_INT_WIDTH = 20  # the longest int64, -2**63, has 20 characters
 
 
 def _open_out(path: Optional[str]):
@@ -50,26 +66,54 @@ def _quote(label: str) -> str:
     return label
 
 
-def _cells(column, lo: int, float_format: str) -> list[str]:
-    """Cells ``lo`` to ``lo + _CSV_CHUNK`` of one column as CSV text.
+def _formatted(values: np.ndarray, conversion: str, width: int):
+    """Cells of ``values`` by one ``%`` over a template of one fixed-width conversion a
+    cell, read back as (n, width) right-aligned slots and their lengths."""
+    text = (conversion * len(values) % tuple(values.tolist())).encode("ascii")
+    slots = np.frombuffer(text, np.uint8).reshape(len(values), width)
+    return slots, width - np.count_nonzero(slots == ord(" "), axis=1)
 
-    A number column is formatted by one ``%`` over a template of one
-    conversion per cell, applied to Python numbers (``tolist``; under numpy 2
-    ``%r`` of an ``np.float64`` is ``np.float64(...)``).  A NaN in a float
-    column is a missing value and its cell is blanked by index.  A label
-    column is gathered from its quoted labels by code.
+
+def _slots(column, lo: int, digits17: bool):
+    """Cells ``lo`` to ``lo + _CSV_CHUNK`` of one column as (n, width) right-aligned
+    text slots and the cell lengths.
+
+    A label column is a gather from its table of quoted labels.  An int column
+    is one ``%20d`` ``%``.  A float column is one ``%24.17g`` ``%`` under
+    ``digits17``, and otherwise ``repr``'s text: from ``shortest.repr_slots``,
+    or from one ``%24r`` ``%`` below ``_REPR_KERNEL_MIN`` cells.  A NaN is an
+    empty cell.
     """
     if isinstance(column, tuple):
-        quoted, codes = column
-        return quoted[codes[lo:lo + _CSV_CHUNK]].tolist()
+        table, lengths, codes = column
+        codes = codes[lo:lo + _CSV_CHUNK]
+        return table[codes], lengths[codes]
     values = column[lo:lo + _CSV_CHUNK]
-    is_float = values.dtype.kind == "f"
-    template = "\n".join((float_format if is_float else "%d",) * len(values))
-    cells = (template % tuple(values.tolist())).split("\n")
-    if is_float:
-        for i in np.flatnonzero(np.isnan(values)).tolist():
-            cells[i] = ""
-    return cells
+    if values.dtype.kind != "f":
+        return _formatted(values, f"%{_INT_WIDTH}d", _INT_WIDTH)
+    if not digits17 and len(values) >= _REPR_KERNEL_MIN:
+        return shortest.repr_slots(values)
+    conversion = f"%{shortest.WIDTH}.17g" if digits17 else f"%{shortest.WIDTH}r"
+    slots, lengths = _formatted(values, conversion, shortest.WIDTH)
+    lengths[np.isnan(values)] = 0
+    return slots, lengths
+
+
+def _width(column) -> int:
+    """The slot width of a column's cells."""
+    if isinstance(column, tuple):
+        return column[0].shape[1]
+    return shortest.WIDTH if column.dtype.kind == "f" else _INT_WIDTH
+
+
+def _label_table(labels, codes):
+    """A label column as (right-aligned quoted labels, their lengths, codes)."""
+    cells = [_quote(label).encode("utf-8") for label in labels]
+    width = max(map(len, cells), default=0)
+    table = np.zeros((len(cells), width), dtype=np.uint8)
+    for row, cell in zip(table, cells):
+        row[width - len(cell):] = np.frombuffer(cell, np.uint8)
+    return table, np.array([len(cell) for cell in cells], dtype=np.int64), np.asarray(codes)
 
 
 def _write_csv(path: Optional[str], header: list[str], columns: list, digits17: bool) -> None:
@@ -81,20 +125,30 @@ def _write_csv(path: Optional[str], header: list[str], columns: list, digits17: 
     significant digits (``%.17g``) under ``digits17``; NaN is an empty cell.
     For tables of two or more columns the bytes are those ``csv.writer``
     writes with ``lineterminator="\\n"``.
+
+    Each column of a batch becomes right-aligned text slots (``_slots``) in
+    its block of one buffer, followed by a ``,`` or newline column; one
+    boolean compaction keeps each cell's text and the separators, row by row.
     """
-    float_format = "%.17g" if digits17 else "%r"
-    columns = [
-        (np.array([_quote(label) for label in col[0]], dtype=object), np.asarray(col[1]))
-        if isinstance(col, tuple) else col
-        for col in columns
-    ]
+    columns = [_label_table(*col) if isinstance(col, tuple) else col for col in columns]
+    rows = len(columns[0][2] if isinstance(columns[0], tuple) else columns[0])
+    ends = np.cumsum([_width(col) + 1 for col in columns])
+    batch = min(rows, _CSV_CHUNK)
+    text = np.empty((batch, ends[-1]), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    text[:, ends - 1] = ord(",")
+    text[:, -1] = ord("\n")
     stream, close = _open_out(path)
     try:
         stream.write(",".join(header) + "\n")
-        rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
         for lo in range(0, rows, _CSV_CHUNK):
-            cells = [_cells(col, lo, float_format) for col in columns]
-            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            n = min(rows - lo, _CSV_CHUNK)
+            for col, end in zip(columns, ends.tolist()):
+                slots, lengths = _slots(col, lo, digits17)
+                width = slots.shape[1]
+                text[:n, end - 1 - width:end - 1] = slots
+                keep[:n, end - 1 - width:end - 1] = np.arange(-width, 0) >= -lengths[:, None]
+            stream.write(str(text[:n][keep[:n]], "utf-8"))
     finally:
         if close:
             stream.close()
@@ -193,6 +247,20 @@ def cmd_dce(args) -> int:
     return EXIT_INVARIANT if report.rate_violations else EXIT_OK
 
 
+def _wall_tolerances(mode: ModeSpec) -> tuple[float, float]:
+    """Bounds on ``wavestate.boundary_check``'s E and dB/dx residuals.
+
+    Each residual is the round-off of sin(kx + phase) at a zero, about
+    |argument| * eps, times the field's scale.  The argument reaches (n + 1) pi
+    at the far wall, and dB/dx carries a further factor k = n pi / a, so at
+    fixed a the residuals grow as n (n + 1) / 2 <= n^2 times their n = 1
+    values.  The amplitude is 1 / sqrt(a): E scales as a^-1/2 and dB/dx as
+    a^-3/2.  Both bounds are 1e-12 at a = 1, n = 1.
+    """
+    scale = 1e-12 * mode.n ** 2
+    return scale / math.sqrt(mode.a), scale / mode.a ** 1.5
+
+
 def cmd_check(args) -> int:
     mode = _mode_from_args(args)
     failures = 0
@@ -203,10 +271,10 @@ def cmd_check(args) -> int:
         failures += 0 if ok else 1
         print(f"{'OK  ' if ok else 'FAIL'} {name}: residual {residual:.3e} (tol {tol:.1e})")
 
-    # the residuals are round-off in sin(kx + phase) at arguments up to (n + 1) pi,
-    # times k for dB/dx: n (n + 1) / 2 <= n^2 times those at n = 1, bound 1e-12
-    e_res, b_res = wavestate.boundary_check(mode)
-    report("cavity wall conditions (E, dB/dx)", max(e_res, b_res), 1e-12 * mode.n ** 2)
+    # the line shows whichever of E and dB/dx is nearer its bound
+    (e_res, b_res), (e_tol, b_tol) = wavestate.boundary_check(mode), _wall_tolerances(mode)
+    report("cavity wall conditions (E, dB/dx)",
+           *max((e_res, e_tol), (b_res, b_tol), key=lambda pair: pair[0] / pair[1]))
 
     def cavity_rho(x: np.ndarray) -> np.ndarray:
         e, b = wavestate.eigenmode(mode, x, 0.35 * mode.a / mode.c)
@@ -295,7 +363,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): point stdout at devnull so that
+        # the interpreter's flush at exit raises nothing, and exit as if killed
+        # by SIGPIPE, with nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,0 +1,221 @@
+"""Shortest round-trip decimals of float64 arrays, as Python ``repr`` writes them.
+
+``repr_slots`` renders a float array as right-aligned text in fixed-width
+byte slots, byte for byte what ``repr`` gives each value (NaN is an empty
+cell).  The digits come from a numpy port of Schubfach (R. Giulietti, "The
+Schubfach way to render doubles", 2020; the algorithm of the JDK's
+``Double.toString`` since JDK 19): for every normal double it finds the
+shortest decimal that rounds back to it, the closest to it among those, the
+one with an even last digit on a tie, which is the decimal ``repr`` writes.
+It needs only 64-bit integer arithmetic and a 617-entry table of 126-bit
+powers of ten.  Every kernel operand is an explicit ``np.uint64``: under
+numpy 1.x a ``uint64`` mixed with an ``int64`` promotes to ``float64``.
+
+The layout follows ``repr``: positional form while the decimal point sits
+after digit -3 to 16, with ``.0`` on whole numbers.  Cells in exponent form,
+subnormals and infinities are rare in the tables this package writes; they
+are rendered by ``repr`` one at a time.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+
+import numpy as np
+
+# slot width: the longest repr, "-2.2250738585072014e-308", has 24 bytes
+WIDTH = 24
+
+_U = np.uint64
+_K_MIN, _K_MAX = -324, 292  # decimal exponents of the normal doubles' digit scales
+_MASK_63 = _U(2**63 - 1)
+_MASK_32 = _U(2**32 - 1)
+_ZERO, _ONE, _TWO, _TEN = _U(0), _U(1), _U(2), _U(10)
+_S32, _S63 = _U(32), _U(63)
+
+
+def _flog2pow10(e):
+    """floor(log2(10**e)) for |e| < 1_233."""
+    return (e * 913_124_641_741) >> 38
+
+
+@cache
+def _g_table() -> tuple[np.ndarray, np.ndarray]:
+    """(g1, g0) with g = g1 * 2**63 + g0 = floor(10**-k * 2**(125 - flog2pow10(-k))) + 1.
+
+    Entry k - K_MIN serves decimal exponent k; 2**125 <= g < 2**126.  Computed
+    exactly from Python ints at first use, not at import.
+    """
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        p = 125 - _flog2pow10(-k)
+        if k > 0:
+            g.append((1 << p) // 10**k + 1)
+        elif p >= 0:
+            g.append((10**-k << p) + 1)
+        else:
+            g.append((10**-k >> -p) + 1)
+    g1 = np.array([v >> 63 for v in g], dtype=_U)
+    g0 = np.array([v & (2**63 - 1) for v in g], dtype=_U)
+    g1.flags.writeable = g0.flags.writeable = False
+    return g1, g0
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a * b, from 32-bit halves.
+
+    ``b`` is at least as large as ``a``; the products of ``b``'s halves are
+    formed in place to hold fewer arrays of its size at once.
+    """
+    a_lo, a_hi = a & _MASK_32, a >> _S32
+    b_lo, b_hi = b & _MASK_32, b >> _S32
+    mid = a_lo * b_lo
+    mid >>= _S32
+    lo_hi = a_lo * b_hi
+    b_lo *= a_hi  # hi * lo
+    b_hi *= a_hi  # hi * hi
+    mid += lo_hi & _MASK_32
+    mid += b_lo & _MASK_32
+    b_hi += lo_hi >> _S32
+    b_hi += b_lo >> _S32
+    b_hi += mid >> _S32
+    return b_hi
+
+
+def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """Round-to-odd of cp * g / 2**127, g = g1 * 2**63 + g0 (the paper's figure 8)."""
+    z = g1 * cp
+    z >>= _ONE
+    z += _mulhi(g0, cp)
+    vbp = _mulhi(g1, cp)
+    vbp += z >> _S63
+    z &= _MASK_63
+    z += _MASK_63
+    z >>= _S63  # 1 where the bits below the result are not all zero
+    vbp |= z
+    return vbp
+
+
+# cb - 2, cb, cb + 2 (mod 2**64), with cb = 4 * the significand
+_ENDS = np.array([[2**64 - 2], [0], [2]], dtype=_U)
+
+
+def shortest_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digits f (uint64) and exponents k (int64) of normal doubles: repr(v) == f * 10**k.
+
+    ``bits`` holds the doubles' bit patterns as uint64, sign bit ignored.
+    10**15 < f < 10**17, and f may end in zeros.  Zeros, subnormals,
+    infinities and NaNs give meaningless results.
+    """
+    biased = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
+    frac = bits & _U(2**52 - 1)
+    q = biased - 1075
+    irregular = (frac == _ZERO) & (biased > 1)  # 2**e: the spacing below v is half that above
+    # k = floor(log10(2**q)), or floor(log10(3/4 * 2**q)) at an irregular spacing
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + _flog2pow10(-k) + 2).astype(_U)
+    g1, g0 = (np.take(table, k - _K_MIN) for table in _g_table())
+
+    # v and the ends of its rounding interval, scaled by 4 * 10**-k, in one pass
+    cp = ((frac | _U(2**52)) << _TWO) + _ENDS
+    cp[0] += irregular  # 2**e: the lower end is cb - 1
+    cp <<= h
+    vbl, vb, vbr = _rop(g1, g0, cp)
+    out = frac & _ONE  # an odd significand's rounding interval is open
+
+    s = vb >> _TWO  # 2**52 <= s < 10**17
+    sp10 = s // _TEN * _TEN  # the shorter candidates sp10 and sp10 + 10
+    upin = vbl + out <= sp10 << _TWO
+    wpin = ((sp10 + _TEN) << _TWO) + out <= vbr
+    uin = vbl + out <= s << _TWO
+    win = ((s + _ONE) << _TWO) + out <= vbr
+    # at least one of u and w is in, so w is picked where u is out; where both are,
+    # the closer to v, the even one on a tie
+    mid = (s << _TWO) + _TWO
+    pick_w = ~uin | (win & ((vb > mid) | ((vb == mid) & (s & _ONE == _ONE))))
+    f = s + pick_w
+    np.copyto(f, sp10 + _TEN * wpin, where=upin != wpin)
+    return f, k
+
+
+_LE = np.dtype("<u8")  # a slot is 3 little-endian words: column c is byte c % 8 of word c // 8
+# _HIGH[c]: the bytes of columns c to WIDTH - 1 set
+_HIGH = np.array([[(2**192 - (1 << 8 * c)) >> 64 * w & (2**64 - 1) for w in range(3)]
+                  for c in range(WIDTH + 1)], dtype=_LE)
+_ASCII = _U(0x3030_3030_3030_3030)
+
+
+def _swar8(x: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each x < 10**8 as the bytes of a little-endian word, first
+    digit lowest (digit values, not ASCII): two 4-digit, four 2-digit, eight 1-digit lanes."""
+    hi = x // _U(10_000)
+    merged = hi | ((x - hi * _U(10_000)) << _S32)
+    top = ((merged * _U(10_486)) >> _U(20)) & _U(0x7F_0000_007F)  # lane // 100 below 10**4
+    hundreds = ((merged - _U(100) * top) << _U(16)) + top
+    tens = ((hundreds * _U(103)) >> _U(10)) & _U(0x000F_000F_000F_000F)  # lane // 10 below 100
+    return tens + ((hundreds - _TEN * tens) << _U(8))
+
+
+def repr_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``repr`` of each float as right-aligned ASCII in a (n, WIDTH) uint8 array, and the lengths.
+
+    The bytes left of each cell's text are unspecified.  NaN is an empty cell.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n = len(values)
+    bits = values.view(_U)
+    magnitude = bits & _MASK_63
+    zero = magnitude == _ZERO
+    normal = (magnitude >= _U(2**52)) & (magnitude < _U(0x7FF << 52))
+    f, k = shortest_digits(np.where(normal, bits, _U(0x3FF << 52)))
+
+    short = f < _U(10**16)
+    decpt = k + 17 - short  # repr's value is 0.d1d2...d17 * 10**decpt
+    positional = (normal & (decpt > -4) & (decpt <= 16)) | zero
+    laid_out = positional & ~zero  # the rest are laid out as 0.0 here
+    decpt = np.where(laid_out, decpt, 1)
+    m = np.where(laid_out, f + _U(9) * f * short, _ZERO)  # d1..d17
+    d1 = m // _U(10**16)
+    halves = np.empty((n, 2), dtype=_U)  # d2..d9, d10..d17
+    np.floor_divide(m - d1 * _U(10**16), _U(10**8), out=halves[:, 0])
+    halves[:, 1] = m - d1 * _U(10**16) - halves[:, 0] * _U(10**8)
+    lanes = _swar8(halves)
+    src = np.empty((n, 5), dtype=_LE)  # rows: 16 unused bytes, 7 "0"s, d1..d17
+    src[:, 2] = (_ASCII >> _U(8)) | ((d1 + _U(0x30)) << _U(56))
+    src[:, 3:] = lanes + _ASCII
+    # digits through the last nonzero one: bytes through the highest nonzero byte
+    used = (np.frexp(lanes.astype(np.float64))[1] + 7) >> 3
+    significant = np.maximum((used[:, 1] > 0) * (used[:, 1] + 9), used[:, 0] + 1)
+
+    # digit i sits at byte 22 + i of its 40-byte source row; the window of WIDTH
+    # bytes that ends at digit decpt + frac_len right-aligns the integer and
+    # fraction digits, and starts at byte 0 of the row or later
+    int_len = np.maximum(decpt, 1)
+    frac_len = np.maximum(significant - decpt, 1)
+    windows = np.ndarray((max(src.size * 8 - WIDTH + 1, 0),), dtype=f"V{WIDTH}", buffer=src,
+                         strides=(1,))
+    first = 22 - (WIDTH - 1)  # start of the window of row 0 that would end at digit 0
+    starts = np.arange(first, first + 40 * n, 40) + decpt + frac_len
+    slots = windows[starts].view(np.uint8).reshape(n, WIDTH)
+    # move the integer digits one column left; column 0 never holds a digit and is
+    # cleared so that nothing carries across rows
+    slots[:, 0] = 0
+    words = slots.view(_LE).ravel()
+    fraction = np.take(_HIGH, WIDTH - frac_len, axis=0).ravel()
+    integer = words & ~fraction
+    words &= fraction
+    words |= integer >> _U(8)
+    words[:-1] |= integer[1:] << _U(56)
+    flat = slots.ravel()
+    flat[np.arange(WIDTH - 1, WIDTH * n, WIDTH) - frac_len] = ord(".")
+    lengths = int_len + 1 + frac_len
+    negative = np.flatnonzero(bits > _MASK_63)
+    lengths[negative] += 1
+    flat[negative * WIDTH + WIDTH - lengths[negative]] = ord("-")
+
+    lengths[np.isnan(values)] = 0
+    for i in np.flatnonzero(~positional & ~np.isnan(values)).tolist():
+        text = repr(float(values[i])).encode()
+        lengths[i] = len(text)
+        slots[i, WIDTH - len(text):] = np.frombuffer(text, np.uint8)
+    return slots, lengths

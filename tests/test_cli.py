@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitphoton import experiments
-from splitphoton.cli import _write_csv, main
+from splitphoton import ModeSpec, boundary_check
+from splitphoton.cli import _CSV_CHUNK, _wall_tolerances, _write_csv, main
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -97,6 +100,39 @@ class TestWriteCsv:
             _reference_csv(ref, header, columns, digits17)
             with open(ours, "rb") as a, open(ref, "rb") as b:
                 assert a.read() == b.read()
+
+    @pytest.mark.parametrize("rows", [_CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1])
+    @pytest.mark.parametrize("digits17", [False, True])
+    def test_batch_edges(self, tmp_path, rows, digits17):
+        rng = np.random.default_rng(rows)
+        floats = rng.normal(size=rows) * 10.0 ** rng.integers(-6, 18, rows)
+        floats[rng.integers(0, rows, 50)] = np.nan
+        columns = [np.arange(rows), (["a", 'b,"c"', ""], rng.integers(-1, 3, rows)), floats,
+                   rng.uniform(0, 1, rows)]
+        header = ["i", "label", "x", "y"]
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        _write_csv(str(ours), header, columns, digits17)
+        _reference_csv(str(ref), header, columns, digits17)
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("argv", [["snapshot", "--s", "0.25", "--grid", "100000"],
+                                      ["dce", os.path.join(SCENARIOS, "two_detectors.txt"),
+                                       "--trials", "1000"],
+                                      ["check"]])
+    def test_closed_stdout_exits_141_silently(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        # stdout block-buffered, as in a shell pipeline, so that writes also fail at flushes
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        try:
+            proc = subprocess.run([sys.executable, "-m", "splitphoton.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 class TestSnapshot:
@@ -287,6 +323,21 @@ class TestCheck:
         main(["check", "--n", "64"])  # the quadrature lines may still fail at n = 64
         wall = capsys.readouterr().out.splitlines()[0]
         assert wall.startswith("OK   cavity wall conditions")
+
+    def test_wall_conditions_hold_at_small_a(self, capsys):
+        main(["check", "--a", "0.001"])
+        wall = capsys.readouterr().out.splitlines()[0]
+        assert wall.startswith("OK   cavity wall conditions")
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_a=st.floats(-3.0, 6.0), n=st.integers(1, 200))
+    def test_wall_tolerances_scale_with_a_and_n(self, log_a, n):
+        mode = ModeSpec(a=10.0**log_a, n=n)
+        (e_res, b_res), (e_tol, b_tol) = boundary_check(mode), _wall_tolerances(mode)
+        assert e_res <= e_tol and b_res <= b_tol
+
+    def test_wall_tolerance_is_unchanged_at_unit_length(self):
+        assert _wall_tolerances(ModeSpec(n=7)) == (1e-12 * 49, 1e-12 * 49)
 
 
 class TestUsage:

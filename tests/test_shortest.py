@@ -1,0 +1,137 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splitphoton.shortest import WIDTH, repr_slots, shortest_digits
+
+
+def _texts(values) -> list[str]:
+    slots, lengths = repr_slots(np.asarray(values, dtype=np.float64))
+    assert slots.shape == (len(lengths), WIDTH)
+    return [bytes(row[WIDTH - length:]).decode("ascii") for row, length in zip(slots, lengths)]
+
+
+def _expected(values) -> list[str]:
+    return ["" if math.isnan(v) else repr(v) for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def _neighbours(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+def _repr_digits(value: float) -> tuple[str, int]:
+    """repr(value)'s significant digits, and the power of ten of the last one."""
+    mantissa, _, exponent = repr(abs(value)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0")
+    significant = digits.rstrip("0")
+    return significant, int(exponent or 0) - len(fraction) + len(digits) - len(significant)
+
+
+class TestShortestDigits:
+    """The kernel's digits against repr's, exponent form included."""
+
+    @staticmethod
+    def _check(values):
+        values = np.asarray(values, dtype=np.float64)
+        f, k = shortest_digits(values.view(np.uint64))
+        for value, digits, power in zip(values.tolist(), f.tolist(), k.tolist()):
+            significant = str(digits).rstrip("0")
+            got = (significant, power + len(str(digits)) - len(significant))
+            assert got == _repr_digits(value), value
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 2046), min_size=1, max_size=32), st.data())
+    def test_every_normal_double(self, exponents, data):
+        fractions = data.draw(st.lists(st.integers(0, 2**52 - 1), min_size=len(exponents),
+                                       max_size=len(exponents)))
+        bits = [(e << 52) | m for e, m in zip(exponents, fractions)]
+        self._check(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_random_normal_doubles(self):
+        rng = np.random.default_rng(24)
+        bits = (rng.integers(1, 2047, 20_000, dtype=np.uint64) << np.uint64(52)) | rng.integers(
+            0, 2**52, 20_000, dtype=np.uint64)
+        self._check(bits.view(np.float64))
+
+    def test_powers_of_two_and_ten(self):
+        # a power of two has a rounding interval twice as wide above as below
+        values = _neighbours([2.0**e for e in range(-1022, 1024)] +
+                             [10.0**e for e in range(-307, 309)])
+        self._check(values[values >= 2.0**-1022])
+
+    def test_interval_ends(self):
+        # between 2**54 and 2**55 doubles are 4 apart, and the midpoint v + 2 of an
+        # odd significand ending in 8 is a shorter decimal that does not read back as v
+        base = 2.0**54
+        self._check(base + 4.0 * np.arange(1, 4000))
+
+
+class TestReprSlots:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_every_bit_pattern_formats_as_repr(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert _texts(values) == _expected(values)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20)
+        values = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+        assert _texts(values) == _expected(values)
+
+    def test_positional_range(self):
+        rng = np.random.default_rng(21)
+        values = 10.0 ** rng.uniform(-5, 17, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+        assert _texts(values) == _expected(values)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                                       5e-324, -5e-324, 2.225073858507201e-308,
+                                       2.2250738585072014e-308, 1.7976931348623157e308,
+                                       -1.7976931348623157e308, 1.0, -1.0, 0.1, 1.0 / 3.0])
+    def test_named_values(self, value):
+        assert _texts([value]) == _expected([value])
+
+    def test_powers_of_two(self):
+        # significand 2**52 (C_MIN): the spacing below is half that above
+        values = _neighbours([2.0**e for e in range(-1074, 1024)])
+        values = np.concatenate([values, -values])
+        assert _texts(values) == _expected(values)
+
+    def test_powers_of_ten(self):
+        values = _neighbours([10.0**e for e in range(-323, 309)])
+        values = np.concatenate([values, -values])
+        assert _texts(values) == _expected(values)
+
+    @pytest.mark.parametrize("switch", [1e-4, 1e-3, 1e15, 1e16, 1e17])
+    def test_form_switches(self, switch):
+        # repr is positional for 1e-4 <= |v| < 1e16, exponent form outside
+        values = [switch]
+        for _ in range(40):
+            values = [values[0], *values, values[-1]]
+            values[0], values[-1] = np.nextafter(values[0], 0), np.nextafter(values[-1], np.inf)
+        values = np.concatenate([values, -np.array(values)])
+        assert _texts(values) == _expected(values)
+
+    def test_whole_numbers(self):
+        rng = np.random.default_rng(22)
+        values = np.concatenate([
+            np.arange(-5000, 5000, dtype=np.float64),
+            rng.integers(0, 2**53, 5000).astype(np.float64),
+            rng.integers(2**53, 2**62, 5000).astype(np.float64),
+            2.0**53 + np.arange(-64, 64), 9999999999999998.0 + np.arange(-8, 8, 2.0),
+        ])
+        assert _texts(values) == _expected(values)
+
+    def test_short_decimals(self):
+        rng = np.random.default_rng(23)
+        values = [round(v, d) for v, d in zip(rng.uniform(-100, 100, 5000).tolist(),
+                                              rng.integers(0, 9, 5000).tolist())]
+        assert _texts(values) == _expected(values)
+
+    def test_empty(self):
+        slots, lengths = repr_slots(np.array([]))
+        assert slots.shape == (0, WIDTH) and lengths.shape == (0,)
