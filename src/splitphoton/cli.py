@@ -6,10 +6,11 @@ output uses shortest round-trip decimals (Python ``repr``) by default;
 command writes its CSV through ``_write_csv``, a batch of rows at a time.
 Each column of a batch becomes fixed-width byte slots holding right-aligned
 cell text, and one boolean compaction of the slots and the separator columns
-yields the batch's rows.  Float slots come from ``shortest.repr_slots``, a
-vectorised writer of ``repr``'s digits, or under ``--digits17`` from one
-``%24.17g`` ``%``; int slots from one ``%20d`` ``%``; label slots from a
-gather of pre-quoted labels.
+yields the batch's rows.  Float slots come from one of ``shortest``'s two
+vectorised writers, ``repr_slots`` (``repr``'s digits) or, under
+``--digits17``, ``g17_slots`` (``%.17g``'s), or from one ``%`` over a small
+batch; int slots from one ``%20d`` ``%``; label slots from a gather of
+pre-quoted labels.
 
 Exit codes: 0 success, 1 usage or parse error, 2 invariant violation, 141
 when stdout is closed early (as by ``| head``).
@@ -41,9 +42,11 @@ EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as a shell reports it
 # ran ~8% faster but added ~1.5-2%)
 _CSV_CHUNK = 2048
 # below this many cells a float column is formatted by one ``%`` over a ``%24r``
-# template: the vectorised writer's fixed cost of ~0.25 ms outweighs ``repr``'s
-# ~1 us a cell (crossover near 350-400 cells on a 2-core x86 host), as in the
-# 50-row ``track`` tables
+# or ``%24.17g`` template: a vectorised writer's fixed cost of ~0.2-0.25 ms
+# outweighs ``%``'s ~1 us (``%r``) or ~0.55 us (``%.17g``) a cell, as in the
+# 50-row ``track`` tables.  On a 2-core x86 host the crossover is near 350-400
+# cells for ``repr_slots`` and 400-550 for ``g17_slots``; one threshold serves
+# both, costing ``g17_slots`` at most ~0.06 ms on a batch just above it
 _REPR_KERNEL_MIN = 400
 _INT_WIDTH = 20  # the longest int64, -2**63, has 20 characters
 
@@ -79,10 +82,10 @@ def _slots(column, lo: int, digits17: bool):
     text slots and the cell lengths.
 
     A label column is a gather from its table of quoted labels.  An int column
-    is one ``%20d`` ``%``.  A float column is one ``%24.17g`` ``%`` under
-    ``digits17``, and otherwise ``repr``'s text: from ``shortest.repr_slots``,
-    or from one ``%24r`` ``%`` below ``_REPR_KERNEL_MIN`` cells.  A NaN is an
-    empty cell.
+    is one ``%20d`` ``%``.  A float column is ``%.17g``'s text under
+    ``digits17`` and ``repr``'s otherwise: from ``shortest.g17_slots`` or
+    ``shortest.repr_slots``, or from one ``%24.17g`` or ``%24r`` ``%`` below
+    ``_REPR_KERNEL_MIN`` cells.  A NaN is an empty cell.
     """
     if isinstance(column, tuple):
         table, lengths, codes = column
@@ -91,8 +94,8 @@ def _slots(column, lo: int, digits17: bool):
     values = column[lo:lo + _CSV_CHUNK]
     if values.dtype.kind != "f":
         return _formatted(values, f"%{_INT_WIDTH}d", _INT_WIDTH)
-    if not digits17 and len(values) >= _REPR_KERNEL_MIN:
-        return shortest.repr_slots(values)
+    if len(values) >= _REPR_KERNEL_MIN:
+        return shortest.g17_slots(values) if digits17 else shortest.repr_slots(values)
     conversion = f"%{shortest.WIDTH}.17g" if digits17 else f"%{shortest.WIDTH}r"
     slots, lengths = _formatted(values, conversion, shortest.WIDTH)
     lengths[np.isnan(values)] = 0

@@ -1,29 +1,46 @@
-"""Shortest round-trip decimals of float64 arrays, as Python ``repr`` writes them.
+"""Float64 arrays as CSV text: Python ``repr``'s digits and ``'%.17g' %``'s.
 
-``repr_slots`` renders a float array as right-aligned text in fixed-width
-byte slots, byte for byte what ``repr`` gives each value (NaN is an empty
-cell).  The digits come from a numpy port of Schubfach (R. Giulietti, "The
+Two writers render a float array as right-aligned text in fixed-width byte
+slots, byte for byte what Python writes for each value (NaN is an empty
+cell): ``repr_slots`` as ``repr``, ``g17_slots`` as ``'%.17g' %``.  Each
+finds digits with its own kernel, run on the cells it lays out only, and
+both lay the digits out through ``_render``, whose one parameter between
+them is the form rule.
+
+``repr``'s digits come from a numpy port of Schubfach (R. Giulietti, "The
 Schubfach way to render doubles", 2020; the algorithm of the JDK's
 ``Double.toString`` since JDK 19): for every normal double it finds the
 shortest decimal that rounds back to it, the closest to it among those, the
 one with an even last digit on a tie, which is the decimal ``repr`` writes.
 It needs only 64-bit integer arithmetic and a 617-entry table of 126-bit
-powers of ten.  Every kernel operand is an explicit ``np.uint64``: under
-numpy 1.x a ``uint64`` mixed with an ``int64`` promotes to ``float64``.
+powers of ten.
 
-The layout follows ``repr``: positional form while the decimal point sits
-after digit -3 to 16, with ``.0`` on whole numbers.  Cells in exponent form,
-subnormals and infinities are rare in the tables this package writes; they
-are rendered by ``repr`` one at a time.
+``%.17g``'s digits need no search.  A double is c * 2**e with an integer c,
+and in positional form its decimal exponent X lies in [-4, 16], so its 17
+digits are c * 5**m * 2**(e + m), m = 16 - X <= 20, rounded half to even.
+``g17_digits`` forms c * 5**m exactly as a 128-bit product and shifts it
+right with that rounding; the only table is the 21 powers of five.
+
+Every kernel operand is an explicit ``np.uint64``: under numpy 1.x a
+``uint64`` mixed with an ``int64`` promotes to ``float64``.
+
+The forms: ``repr`` is positional while the decimal point sits after digit
+-3 to 16, with ``.0`` on whole numbers; ``%.17g`` while it sits after digit
+-3 to 17, with trailing zeros and a bare point dropped (``1``, ``0``,
+``-0``).  Cells in exponent form, subnormals and infinities are rare in the
+tables this package writes; they are rendered by ``repr`` or ``%`` one at a
+time.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from typing import Callable
 
 import numpy as np
 
-# slot width: the longest repr, "-2.2250738585072014e-308", has 24 bytes
+# slot width: the longest repr, "-2.2250738585072014e-308", has 24 bytes, and
+# the longest %.17g, "-2.2250738585072014e-308", as many
 WIDTH = 24
 
 _U = np.uint64
@@ -32,6 +49,7 @@ _MASK_63 = _U(2**63 - 1)
 _MASK_32 = _U(2**32 - 1)
 _ZERO, _ONE, _TWO, _TEN = _U(0), _U(1), _U(2), _U(10)
 _S32, _S63 = _U(32), _U(63)
+_E16, _E17 = _U(10**16), _U(10**17)
 
 
 def _flog2pow10(e):
@@ -138,6 +156,51 @@ def shortest_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, k
 
 
+_POW5 = np.array([5**m for m in range(21)], dtype=_U)  # 5**20 < 2**47
+
+
+def _scaled(bits: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(|v| * 10**m) and whether it rounds up, half to even, for normal doubles v.
+
+    |v| * 10**m must lie in [10**15, 10**18).  With the significand shifted
+    to the top of a word, |v| = c * 2**-r0 (2**63 <= c < 2**64), so
+    |v| * 10**m = c * 5**m / 2**r, r = r0 - m: a 111-bit product shifted right
+    by r, which the range of |v| * 10**m keeps in [4, 60].
+    """
+    c = (bits << _U(11)) | _U(2**63)
+    p = np.take(_POW5, m)
+    lo = c * p  # the low 64 bits of the product
+    hi = _mulhi(p, c)
+    r = (1086 - ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64) - m).astype(_U)
+    floor = (hi << (_U(64) - r)) | (lo >> r)
+    dropped = lo << (_U(64) - r)  # the bits shifted out, at the top of a word
+    half = _U(2**63)
+    return floor, (dropped > half) | ((dropped == half) & (floor & _ONE == _ONE))
+
+
+def g17_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digits d (uint64) and exponents x (int64) with ``'%.16e' % v`` == d * 10**(x - 16).
+
+    For doubles with 1e-5 <= |v| < 1e18.  10**16 <= d < 10**17 wherever
+    -4 <= x <= 16, the cells ``%.17g`` writes in positional form; elsewhere x
+    is outside that range and d meaningless.
+    """
+    bits = values.view(_U)
+    x = np.floor(np.log10(np.abs(values))).astype(np.int64)  # X, or one off near 10**X
+    x = np.clip(x, -4, 16)
+    floor, up = _scaled(bits, 16 - x)
+    # a floor outside [10**16, 10**17) moves X by one; only those cells are redone
+    low, high = floor < _E16, floor >= _E17
+    x += high.astype(np.int64) - low
+    redo = np.flatnonzero((low | high) & (x >= -4) & (x <= 16))
+    if len(redo):
+        floor[redo], up[redo] = _scaled(bits[redo], 16 - x[redo])
+    # no digits round up to 10**17 where -4 <= X <= 16: that needs a double within
+    # 5e-18 relative below 10**(X + 1), and none below 10**-3 ... 10**17 is that close
+    # (the doubles that are, such as 1e-14, are written in exponent form)
+    return floor + up, x
+
+
 _LE = np.dtype("<u8")  # a slot is 3 little-endian words: column c is byte c % 8 of word c // 8
 # _HIGH[c]: the bytes of columns c to WIDTH - 1 set
 _HIGH = np.array([[(2**192 - (1 << 8 * c)) >> 64 * w & (2**64 - 1) for w in range(3)]
@@ -156,29 +219,20 @@ def _swar8(x: np.ndarray) -> np.ndarray:
     return tens + ((hundreds - _TEN * tens) << _U(8))
 
 
-def repr_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``repr`` of each float as right-aligned ASCII in a (n, WIDTH) uint8 array, and the lengths.
+def _positional(digits: np.ndarray, decpt: np.ndarray, negative: np.ndarray,
+                min_frac: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-1)**negative * 0.d1d2...d17 * 10**decpt in positional form, as right-aligned
+    ASCII in a (n, WIDTH) uint8 array, and the lengths.
 
-    The bytes left of each cell's text are unspecified.  NaN is an empty cell.
+    ``digits`` holds d1..d17 as an integer.  Trailing zeros of the fraction
+    are dropped down to ``min_frac`` digits; with none left the point goes too.
+    -3 <= decpt and decpt + min_frac <= 17.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    n = len(values)
-    bits = values.view(_U)
-    magnitude = bits & _MASK_63
-    zero = magnitude == _ZERO
-    normal = (magnitude >= _U(2**52)) & (magnitude < _U(0x7FF << 52))
-    f, k = shortest_digits(np.where(normal, bits, _U(0x3FF << 52)))
-
-    short = f < _U(10**16)
-    decpt = k + 17 - short  # repr's value is 0.d1d2...d17 * 10**decpt
-    positional = (normal & (decpt > -4) & (decpt <= 16)) | zero
-    laid_out = positional & ~zero  # the rest are laid out as 0.0 here
-    decpt = np.where(laid_out, decpt, 1)
-    m = np.where(laid_out, f + _U(9) * f * short, _ZERO)  # d1..d17
-    d1 = m // _U(10**16)
+    n = len(digits)
+    d1 = digits // _E16
     halves = np.empty((n, 2), dtype=_U)  # d2..d9, d10..d17
-    np.floor_divide(m - d1 * _U(10**16), _U(10**8), out=halves[:, 0])
-    halves[:, 1] = m - d1 * _U(10**16) - halves[:, 0] * _U(10**8)
+    np.floor_divide(digits - d1 * _E16, _U(10**8), out=halves[:, 0])
+    halves[:, 1] = digits - d1 * _E16 - halves[:, 0] * _U(10**8)
     lanes = _swar8(halves)
     src = np.empty((n, 5), dtype=_LE)  # rows: 16 unused bytes, 7 "0"s, d1..d17
     src[:, 2] = (_ASCII >> _U(8)) | ((d1 + _U(0x30)) << _U(56))
@@ -191,31 +245,92 @@ def repr_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # bytes that ends at digit decpt + frac_len right-aligns the integer and
     # fraction digits, and starts at byte 0 of the row or later
     int_len = np.maximum(decpt, 1)
-    frac_len = np.maximum(significant - decpt, 1)
+    frac_len = np.maximum(significant - decpt, min_frac)
+    point = frac_len > 0
     windows = np.ndarray((max(src.size * 8 - WIDTH + 1, 0),), dtype=f"V{WIDTH}", buffer=src,
                          strides=(1,))
     first = 22 - (WIDTH - 1)  # start of the window of row 0 that would end at digit 0
     starts = np.arange(first, first + 40 * n, 40) + decpt + frac_len
     slots = windows[starts].view(np.uint8).reshape(n, WIDTH)
-    # move the integer digits one column left; column 0 never holds a digit and is
-    # cleared so that nothing carries across rows
+    # move the integer digits one column left to make room for the point; column
+    # 0 never holds a digit and is cleared so that nothing carries across rows.
+    # A cell without a point keeps every byte in place and has its point written
+    # to column 0, left of its text
     slots[:, 0] = 0
     words = slots.view(_LE).ravel()
-    fraction = np.take(_HIGH, WIDTH - frac_len, axis=0).ravel()
+    fraction = np.take(_HIGH, (WIDTH - frac_len) * point, axis=0).ravel()
     integer = words & ~fraction
     words &= fraction
     words |= integer >> _U(8)
     words[:-1] |= integer[1:] << _U(56)
     flat = slots.ravel()
-    flat[np.arange(WIDTH - 1, WIDTH * n, WIDTH) - frac_len] = ord(".")
-    lengths = int_len + 1 + frac_len
-    negative = np.flatnonzero(bits > _MASK_63)
+    flat[np.arange(0, WIDTH * n, WIDTH) + (WIDTH - 1 - frac_len) * point] = ord(".")
+    lengths = int_len + point + frac_len
+    negative = np.flatnonzero(negative)
     lengths[negative] += 1
     flat[negative * WIDTH + WIDTH - lengths[negative]] = ord("-")
-
-    lengths[np.isnan(values)] = 0
-    for i in np.flatnonzero(~positional & ~np.isnan(values)).tolist():
-        text = repr(float(values[i])).encode()
-        lengths[i] = len(text)
-        slots[i, WIDTH - len(text):] = np.frombuffer(text, np.uint8)
     return slots, lengths
+
+
+def _render(values: np.ndarray, laid: np.ndarray, digits: np.ndarray, decpt: np.ndarray,
+            min_frac: int, text: Callable[[float], str]) -> tuple[np.ndarray, np.ndarray]:
+    """Slots and lengths of a float column.
+
+    A cell where ``laid`` is set is laid out by ``_positional`` from its
+    ``digits`` and point position ``decpt``; any other cell is ``text`` of
+    its value, or empty for NaN.  Only the laid-out cells reach the layout.
+    """
+    cells = np.flatnonzero(laid)
+    if len(cells) == len(values):
+        slots, lengths = _positional(digits, decpt, np.signbit(values), min_frac)
+    else:
+        slots = np.empty((len(values), WIDTH), dtype=np.uint8)
+        lengths = np.zeros(len(values), dtype=np.int64)
+        if len(cells):
+            slots[cells], lengths[cells] = _positional(digits[cells], decpt[cells],
+                                                       np.signbit(values[cells]), min_frac)
+    for i in np.flatnonzero(~laid & ~np.isnan(values)).tolist():
+        cell = text(float(values[i])).encode()
+        lengths[i] = len(cell)
+        slots[i, WIDTH - len(cell):] = np.frombuffer(cell, np.uint8)
+    return slots, lengths
+
+
+def repr_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``repr`` of each float as right-aligned ASCII in a (n, WIDTH) uint8 array, and the lengths.
+
+    The bytes left of each cell's text are unspecified.  NaN is an empty cell.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    magnitude = values.view(_U) & _MASK_63
+    normal = np.flatnonzero((magnitude >= _U(2**52)) & (magnitude < _U(0x7FF << 52)))
+    digits = np.zeros(len(values), dtype=_U)  # zeros are laid out as d1 = 0 before the point
+    decpt = np.ones(len(values), dtype=np.int64)
+    laid = magnitude == _ZERO
+    if len(normal):
+        f, k = shortest_digits(magnitude[normal])
+        short = f < _E16
+        digits[normal] = f + _U(9) * f * short  # d1..d17
+        decpt[normal] = k + 17 - short  # repr's value is 0.d1d2...d17 * 10**decpt
+        laid[normal] = (decpt[normal] > -4) & (decpt[normal] <= 16)
+    return _render(values, laid, digits, decpt, 1, repr)
+
+
+def g17_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``'%.17g' %`` of each float as right-aligned ASCII in a (n, WIDTH) uint8 array, and
+    the lengths.
+
+    The bytes left of each cell's text are unspecified.  NaN is an empty cell.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    size = np.abs(values)
+    scaled = np.flatnonzero((size >= 1e-5) & (size < 1e18))
+    digits = np.zeros(len(values), dtype=_U)
+    decpt = np.ones(len(values), dtype=np.int64)
+    laid = size == 0.0
+    if len(scaled):
+        d, x = g17_digits(values[scaled])
+        digits[scaled] = d
+        decpt[scaled] = x + 1
+        laid[scaled] = (x >= -4) & (x <= 16)
+    return _render(values, laid, digits, decpt, 0, "%.17g".__mod__)

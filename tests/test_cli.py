@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import math
 import os
 import subprocess
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from splitphoton import experiments
 from splitphoton import ModeSpec, boundary_check
-from splitphoton.cli import _CSV_CHUNK, _wall_tolerances, _write_csv, main
+from splitphoton.cli import _CSV_CHUNK, _REPR_KERNEL_MIN, _wall_tolerances, _write_csv, main
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -101,7 +103,8 @@ class TestWriteCsv:
             with open(ours, "rb") as a, open(ref, "rb") as b:
                 assert a.read() == b.read()
 
-    @pytest.mark.parametrize("rows", [_CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1])
+    @pytest.mark.parametrize("rows", [_REPR_KERNEL_MIN - 1, _REPR_KERNEL_MIN, _REPR_KERNEL_MIN + 1,
+                                      _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1])
     @pytest.mark.parametrize("digits17", [False, True])
     def test_batch_edges(self, tmp_path, rows, digits17):
         rng = np.random.default_rng(rows)
@@ -335,6 +338,19 @@ class TestCheck:
         mode = ModeSpec(a=10.0**log_a, n=n)
         (e_res, b_res), (e_tol, b_tol) = boundary_check(mode), _wall_tolerances(mode)
         assert e_res <= e_tol and b_res <= b_tol
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_a=st.floats(-3.0, 6.0), n=st.integers(1, 12))
+    def test_all_checks_pass_over_a(self, log_a, n):
+        # the energy lines are relative to the ledger's total, a
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", "--a", repr(10.0**log_a), "--n", str(n)])
+        assert code == 0 and "FAIL" not in out.getvalue()
+
+    def test_energy_lines_hold_at_large_a(self, capsys):
+        assert main(["check", "--a", "1e6", "--n", "3"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_wall_tolerance_is_unchanged_at_unit_length(self):
         assert _wall_tolerances(ModeSpec(n=7)) == (1e-12 * 49, 1e-12 * 49)

@@ -1,11 +1,13 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitphoton.shortest import WIDTH, repr_slots, shortest_digits
+from splitphoton import shortest
+from splitphoton.shortest import WIDTH, g17_digits, g17_slots, repr_slots, shortest_digits
 
 
 def _texts(values) -> list[str]:
@@ -135,3 +137,157 @@ class TestReprSlots:
     def test_empty(self):
         slots, lengths = repr_slots(np.array([]))
         assert slots.shape == (0, WIDTH) and lengths.shape == (0,)
+
+
+def _g17_texts(values) -> list[str]:
+    slots, lengths = g17_slots(np.asarray(values, dtype=np.float64))
+    assert slots.shape == (len(lengths), WIDTH)
+    return [bytes(row[WIDTH - length:]).decode("ascii") for row, length in zip(slots, lengths)]
+
+
+def _g17_expected(values) -> list[str]:
+    return ["" if math.isnan(v) else "%.17g" % v
+            for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def _carrying_powers_of_ten() -> list[float]:
+    """The largest double below each power of ten whose 17-digit rounding carries to it."""
+    found = []
+    for e in range(-323, 309):
+        power = Decimal(10) ** e
+        below = float(power)
+        if Decimal(below) >= power:
+            below = float(np.nextafter(below, 0.0))
+        if below > 0 and Decimal(below) * Decimal(10) ** (17 - e) >= 10**17 - Decimal("0.5"):
+            found.append(below)
+    return found
+
+
+class TestG17Digits:
+    """The kernel's digits and exponents against '%.16e', where %.17g is positional."""
+
+    @staticmethod
+    def _check(values):
+        values = np.asarray(values, dtype=np.float64)
+        digits, x = g17_digits(values)
+        for value, d, e in zip(values.tolist(), digits.tolist(), x.tolist()):
+            mantissa, exponent = ("%.16e" % value).split("e")
+            if -4 <= int(exponent) <= 16:
+                assert (d, e) == (int(mantissa.lstrip("-").replace(".", "")), int(exponent)), value
+            else:
+                assert not -4 <= e <= 16, value
+
+    def test_log_uniform(self):
+        rng = np.random.default_rng(30)
+        self._check(10.0 ** rng.uniform(-5, 18, 20_000) * rng.choice([-1.0, 1.0], 20_000))
+
+    def test_powers_of_ten(self):
+        values = _neighbours([10.0**e for e in range(-5, 18)])
+        self._check(values[(values >= 1e-5) & (values < 1e18)])
+
+    def test_no_positional_cell_carries(self):
+        # the kernel has no carry step: every double whose 17 digits round up to
+        # the next power of ten is written in exponent form
+        carrying = _carrying_powers_of_ten()
+        assert 1e-14 in carrying
+        assert all(not 1e-5 <= v < 1e17 for v in carrying)
+
+
+class TestG17Slots:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_every_bit_pattern_formats_as_percent(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert _g17_texts(values) == _g17_expected(values)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(31)
+        values = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+        assert _g17_texts(values) == _g17_expected(values)
+
+    def test_positional_range(self):
+        rng = np.random.default_rng(32)
+        values = 10.0 ** rng.uniform(-6, 18, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+        assert _g17_texts(values) == _g17_expected(values)
+
+    @pytest.mark.parametrize("value,text", [(0.0, "0"), (-0.0, "-0"), (math.inf, "inf"),
+                                            (-math.inf, "-inf"), (math.nan, ""),
+                                            (5e-324, "4.9406564584124654e-324"),
+                                            (1.0, "1"), (-0.5, "-0.5"),
+                                            (0.1, "0.10000000000000001")])
+    def test_named_values(self, value, text):
+        assert _g17_texts([value]) == [text] == _g17_expected([value])
+
+    @pytest.mark.parametrize("switch", [1e-4, 1e16, 1e17])
+    def test_form_switches(self, switch):
+        # %.17g is positional for 1e-4 <= |v| < 1e17; 1e16 is the last whole
+        # number with a one-digit exponent of the point
+        values = [switch]
+        for _ in range(40):
+            values = [values[0], *values, values[-1]]
+            values[0], values[-1] = np.nextafter(values[0], 0), np.nextafter(values[-1], np.inf)
+        values = np.concatenate([values, -np.array(values)])
+        assert _g17_texts(values) == _g17_expected(values)
+
+    def test_ties_round_half_to_even(self):
+        assert _g17_texts([1234567890123456.25, 1234567890123456.75]) == [
+            "1234567890123456.2", "1234567890123456.8"]
+        # j / 2**(17 - X), j odd, lies halfway between two 17-digit decimals
+        rng = np.random.default_rng(33)
+        values = []
+        for x in range(-4, 16):
+            lo, hi = math.ceil(10**x * 2**(17 - x)), min(10**(x + 1) * 2**(17 - x), 2**53)
+            values += [math.ldexp(2 * j + 1, x - 17)
+                       for j in rng.integers(lo // 2, hi // 2, 500).tolist()]
+        assert _g17_texts(values) == _g17_expected(values)
+
+    def test_whole_numbers_around_2_53(self):
+        assert _g17_texts([9007199254740993.0]) == ["9007199254740992"]
+        values = np.concatenate([2.0**53 + np.arange(-64, 64), 2.0**54 + np.arange(-64, 64, 2),
+                                 9999999999999998.0 + np.arange(-8, 8, 2.0),
+                                 99999999999999984.0 + np.arange(-64, 64, 16.0)])
+        assert _g17_texts(values) == _g17_expected(values)
+
+    def test_powers_of_ten(self):
+        values = _neighbours([10.0**e for e in range(-323, 309)])
+        values = np.concatenate([values, -values])
+        assert _g17_texts(values) == _g17_expected(values)
+
+    def test_carrying_powers_of_ten(self):
+        values = _carrying_powers_of_ten()
+        assert _g17_texts(values) == _g17_expected(values)
+
+    def test_empty(self):
+        slots, lengths = g17_slots(np.array([]))
+        assert slots.shape == (0, WIDTH) and lengths.shape == (0,)
+
+
+@pytest.mark.parametrize("writer,kernel", [(repr_slots, "shortest_digits"),
+                                           (g17_slots, "g17_digits")])
+class TestKernelInput:
+    """Each writer's kernel sees only the cells it lays out, compressed."""
+
+    def test_all_nan_column_makes_no_kernel_call(self, writer, kernel, monkeypatch):
+        def fail(*args):
+            raise AssertionError("kernel called")
+        monkeypatch.setattr(shortest, kernel, fail)
+        slots, lengths = writer(np.full(3000, np.nan))
+        assert slots.shape == (3000, WIDTH) and not lengths.any()
+
+    def test_kernel_sees_only_finite_nonzero_cells(self, writer, kernel, monkeypatch):
+        seen = []
+        real = getattr(shortest, kernel)
+
+        def spy(arg):
+            seen.append(len(arg))
+            return real(arg)
+        monkeypatch.setattr(shortest, kernel, spy)
+        values = np.full(3000, np.nan)
+        values[::7] = np.linspace(0.5, 2.0, len(values[::7]))
+        values[1::7] = 0.0
+        values[2::7] = np.inf
+        slots, lengths = writer(values)
+        assert seen == [len(values[::7])]
+        texts = [bytes(row[WIDTH - n:]).decode() for row, n in zip(slots, lengths)]
+        expected = repr if writer is repr_slots else "%.17g".__mod__
+        assert texts == ["" if math.isnan(v) else expected(v) for v in values.tolist()]

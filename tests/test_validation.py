@@ -95,6 +95,14 @@ def test_identity_suite_residuals(s):
     assert res["ledger_vs_quadrature"] < 1e-8
 
 
+@pytest.mark.parametrize("a", [1e-3, 1e3, 1e6])
+def test_identity_suite_residuals_are_relative_to_a(a):
+    # the ledger energies, and their round-off, grow with a; the residuals do not
+    mode = ModeSpec(a=a, n=3)
+    res = identity_suite(mode, np.linspace(0.0, a, 5))
+    assert max(res.values()) < 1e-13
+
+
 def _reference_jumps(snap, factor=JUMP_THRESHOLD):
     """Brute-force locator: scan the cells one by one, closing a run of flagged
     cells at the first unflagged one and keeping the run's first maximum."""
