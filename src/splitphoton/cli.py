@@ -5,12 +5,12 @@ output uses shortest round-trip decimals (Python ``repr``) by default;
 ``--digits17`` switches to fixed 17-significant-digit rendering.  Every
 command writes its CSV through ``_write_csv``, a batch of rows at a time.
 Each column of a batch becomes fixed-width byte slots holding right-aligned
-cell text, and one boolean compaction of the slots and the separator columns
-yields the batch's rows.  Float slots come from one of ``shortest``'s two
-vectorised writers, ``repr_slots`` (``repr``'s digits) or, under
-``--digits17``, ``g17_slots`` (``%.17g``'s), or from one ``%`` over a small
-batch; int slots from one ``%20d`` ``%``; label slots from a gather of
-pre-quoted labels.
+cell text with zeros left of it; dropping every zero byte of the slots and
+the separator columns yields the batch's rows.  Float slots come from one of
+``shortest``'s two vectorised writers, ``repr_slots`` (``repr``'s digits)
+or, under ``--digits17``, ``g17_slots`` (``%.17g``'s), or from one ``%``
+over a small batch; int slots from ``shortest.int_slots``; label slots from
+a gather of pre-quoted labels.
 
 Exit codes: 0 success, 1 usage or parse error, 2 invariant violation, 141
 when stdout is closed early (as by ``| head``).
@@ -35,11 +35,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as a shell reports it
-# CSV rows per batch: each column of a batch becomes right-aligned text slots in
-# one buffer of ~100 bytes a row, and the vectorised float writer holds ~350
-# bytes a value while it runs.  2048 rows keep its per-call cost small and the
-# peak RSS of the field-grid benchmark within 1% of 1024-row batches (4096 rows
-# ran ~8% faster but added ~1.5-2%)
+# CSV rows per batch: each column of a batch becomes zero-padded text slots in
+# one buffer of ~100 bytes a row, compacted through a nonzero mask made per batch,
+# and the vectorised float writer holds ~350 bytes a value while it runs.  2048
+# rows keep its per-call cost small and the peak RSS of the field-grid benchmark
+# within 1% of 1024-row batches (4096 rows ran ~8% faster but added ~1.5-2%)
 _CSV_CHUNK = 2048
 # below this many cells a float column is formatted by one ``%`` over a ``%24r``
 # or ``%24.17g`` template: a vectorised writer's fixed cost of ~0.2-0.25 ms
@@ -48,7 +48,6 @@ _CSV_CHUNK = 2048
 # cells for ``repr_slots`` and 400-550 for ``g17_slots``; one threshold serves
 # both, costing ``g17_slots`` at most ~0.06 ms on a batch just above it
 _REPR_KERNEL_MIN = 400
-_INT_WIDTH = 20  # the longest int64, -2**63, has 20 characters
 
 
 def _open_out(path: Optional[str]):
@@ -69,54 +68,39 @@ def _quote(label: str) -> str:
     return label
 
 
-def _formatted(values: np.ndarray, conversion: str, width: int):
-    """Cells of ``values`` by one ``%`` over a template of one fixed-width conversion a
-    cell, read back as (n, width) right-aligned slots and their lengths."""
-    text = (conversion * len(values) % tuple(values.tolist())).encode("ascii")
-    slots = np.frombuffer(text, np.uint8).reshape(len(values), width)
-    return slots, width - np.count_nonzero(slots == ord(" "), axis=1)
-
-
-def _slots(column, lo: int, digits17: bool):
+def _slots(column, lo: int, digits17: bool) -> np.ndarray:
     """Cells ``lo`` to ``lo + _CSV_CHUNK`` of one column as (n, width) right-aligned
-    text slots and the cell lengths.
+    text slots, zeros left of each cell's text.
 
-    A label column is a gather from its table of quoted labels.  An int column
-    is one ``%20d`` ``%``.  A float column is ``%.17g``'s text under
-    ``digits17`` and ``repr``'s otherwise: from ``shortest.g17_slots`` or
-    ``shortest.repr_slots``, or from one ``%24.17g`` or ``%24r`` ``%`` below
-    ``_REPR_KERNEL_MIN`` cells.  A NaN is an empty cell.
+    Labels are gathered from their table, ints come from ``shortest.int_slots``,
+    floats from ``shortest.g17_slots`` under ``digits17`` and ``repr_slots``
+    otherwise, or below ``_REPR_KERNEL_MIN`` cells from one ``%24.17g`` or
+    ``%24r`` ``%`` whose space padding (no such text holds a space) is zeroed.
+    A NaN is an empty cell.
     """
     if isinstance(column, tuple):
-        table, lengths, codes = column
-        codes = codes[lo:lo + _CSV_CHUNK]
-        return table[codes], lengths[codes]
+        table, codes = column
+        return table[codes[lo:lo + _CSV_CHUNK]]
     values = column[lo:lo + _CSV_CHUNK]
     if values.dtype.kind != "f":
-        return _formatted(values, f"%{_INT_WIDTH}d", _INT_WIDTH)
+        return shortest.int_slots(values)
     if len(values) >= _REPR_KERNEL_MIN:
         return shortest.g17_slots(values) if digits17 else shortest.repr_slots(values)
     conversion = f"%{shortest.WIDTH}.17g" if digits17 else f"%{shortest.WIDTH}r"
-    slots, lengths = _formatted(values, conversion, shortest.WIDTH)
-    lengths[np.isnan(values)] = 0
-    return slots, lengths
-
-
-def _width(column) -> int:
-    """The slot width of a column's cells."""
-    if isinstance(column, tuple):
-        return column[0].shape[1]
-    return shortest.WIDTH if column.dtype.kind == "f" else _INT_WIDTH
+    text = (conversion * len(values) % tuple(values.tolist())).replace(" ", "\0")
+    slots = np.frombuffer(bytearray(text, "ascii"), np.uint8).reshape(-1, shortest.WIDTH)
+    slots[np.isnan(values)] = 0
+    return slots
 
 
 def _label_table(labels, codes):
-    """A label column as (right-aligned quoted labels, their lengths, codes)."""
+    """A label column as (right-aligned quoted labels with zeros left of them, codes)."""
     cells = [_quote(label).encode("utf-8") for label in labels]
     width = max(map(len, cells), default=0)
     table = np.zeros((len(cells), width), dtype=np.uint8)
     for row, cell in zip(table, cells):
         row[width - len(cell):] = np.frombuffer(cell, np.uint8)
-    return table, np.array([len(cell) for cell in cells], dtype=np.int64), np.asarray(codes)
+    return table, np.asarray(codes)
 
 
 def _write_csv(path: Optional[str], header: list[str], columns: list, digits17: bool) -> None:
@@ -129,16 +113,15 @@ def _write_csv(path: Optional[str], header: list[str], columns: list, digits17: 
     For tables of two or more columns the bytes are those ``csv.writer``
     writes with ``lineterminator="\\n"``.
 
-    Each column of a batch becomes right-aligned text slots (``_slots``) in
-    its block of one buffer, followed by a ``,`` or newline column; one
-    boolean compaction keeps each cell's text and the separators, row by row.
+    Each column of a batch becomes zero-padded right-aligned text slots
+    (``_slots``) in its block of one buffer, followed by a ``,`` or newline
+    column; no text holds a zero byte, so dropping the zeros leaves the rows.
     """
     columns = [_label_table(*col) if isinstance(col, tuple) else col for col in columns]
-    rows = len(columns[0][2] if isinstance(columns[0], tuple) else columns[0])
-    ends = np.cumsum([_width(col) + 1 for col in columns])
-    batch = min(rows, _CSV_CHUNK)
-    text = np.empty((batch, ends[-1]), dtype=np.uint8)
-    keep = np.ones(text.shape, dtype=bool)
+    rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+    widths = [col[0].shape[1] if isinstance(col, tuple) else shortest.WIDTH for col in columns]
+    ends = np.cumsum([width + 1 for width in widths])
+    text = np.empty((min(rows, _CSV_CHUNK), ends[-1]), dtype=np.uint8)
     text[:, ends - 1] = ord(",")
     text[:, -1] = ord("\n")
     stream, close = _open_out(path)
@@ -146,12 +129,9 @@ def _write_csv(path: Optional[str], header: list[str], columns: list, digits17: 
         stream.write(",".join(header) + "\n")
         for lo in range(0, rows, _CSV_CHUNK):
             n = min(rows - lo, _CSV_CHUNK)
-            for col, end in zip(columns, ends.tolist()):
-                slots, lengths = _slots(col, lo, digits17)
-                width = slots.shape[1]
-                text[:n, end - 1 - width:end - 1] = slots
-                keep[:n, end - 1 - width:end - 1] = np.arange(-width, 0) >= -lengths[:, None]
-            stream.write(str(text[:n][keep[:n]], "utf-8"))
+            for col, end, width in zip(columns, ends.tolist(), widths):
+                text[:n, end - 1 - width:end - 1] = _slots(col, lo, digits17)
+            stream.write(str(text[:n][text[:n] != 0], "utf-8"))
     finally:
         if close:
             stream.close()

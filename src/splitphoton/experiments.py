@@ -92,10 +92,11 @@ class Instrument:
     efficiency: float = 1.0
 
     def validate(self) -> None:
-        # an id must read back from a scenario file as written
-        if self.id != self.id.strip() or "#" in self.id or self.id.splitlines() != [self.id]:
+        # an id must read back from a scenario file as written, and reach the CSV whole
+        if (self.id != self.id.strip() or "#" in self.id or "\0" in self.id
+                or self.id.splitlines() != [self.id]):
             raise ValueError(f"instrument id {self.id!r} must be non-empty, without '#', "
-                             "line breaks or surrounding whitespace")
+                             "NUL, line breaks or surrounding whitespace")
         if self.kind is InstrumentKind.ELECTRON_GUN:
             if self.removal_time is not None:
                 raise ValueError(f"{self.id}: removal time has no effect on an electron gun")

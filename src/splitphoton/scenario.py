@@ -32,7 +32,7 @@ Format::
 
 Only ``position`` is required: an omitted key takes its dataclass field's
 default, an omitted id is ``D<k>``/``EG<k>`` for the k-th instrument section.
-Ids are non-empty, without ``#``, line breaks or surrounding whitespace.
+Ids are non-empty, without ``#``, NUL, line breaks or surrounding whitespace.
 Unknown sections or keys, non-finite numbers and values that fail validation
 are rejected with the offending line number; a rule across instruments
 (distinct ids and positions, one kind, one electron gun per side) with the

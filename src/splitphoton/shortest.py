@@ -1,11 +1,12 @@
-"""Float64 arrays as CSV text: Python ``repr``'s digits and ``'%.17g' %``'s.
+"""Numeric arrays as CSV text: Python ``repr``'s, ``'%.17g' %``'s and ``'%d' %``'s.
 
-Two writers render a float array as right-aligned text in fixed-width byte
-slots, byte for byte what Python writes for each value (NaN is an empty
-cell): ``repr_slots`` as ``repr``, ``g17_slots`` as ``'%.17g' %``.  Each
-finds digits with its own kernel, run on the cells it lays out only, and
-both lay the digits out through ``_render``, whose one parameter between
-them is the form rule.
+Three writers render an array as right-aligned text in fixed-width byte
+slots, zeros left of it, byte for byte what Python writes for each value (NaN
+is an empty cell): ``repr_slots`` as ``repr``, ``g17_slots`` as ``'%.17g' %``,
+``int_slots`` as ``'%d' %``; no text holds a zero byte.  The float writers
+find digits with their own kernels, run on the cells they lay out only, and
+lay them out through ``_render``, whose one parameter between them is the
+form rule.
 
 ``repr``'s digits come from a numpy port of Schubfach (R. Giulietti, "The
 Schubfach way to render doubles", 2020; the algorithm of the JDK's
@@ -220,9 +221,9 @@ def _swar8(x: np.ndarray) -> np.ndarray:
 
 
 def _positional(digits: np.ndarray, decpt: np.ndarray, negative: np.ndarray,
-                min_frac: int) -> tuple[np.ndarray, np.ndarray]:
+                min_frac: int) -> np.ndarray:
     """(-1)**negative * 0.d1d2...d17 * 10**decpt in positional form, as right-aligned
-    ASCII in a (n, WIDTH) uint8 array, and the lengths.
+    ASCII in a (n, WIDTH) uint8 array with zeros left of the text.
 
     ``digits`` holds d1..d17 as an integer.  Trailing zeros of the fraction
     are dropped down to ``min_frac`` digits; with none left the point goes too.
@@ -244,7 +245,6 @@ def _positional(digits: np.ndarray, decpt: np.ndarray, negative: np.ndarray,
     # digit i sits at byte 22 + i of its 40-byte source row; the window of WIDTH
     # bytes that ends at digit decpt + frac_len right-aligns the integer and
     # fraction digits, and starts at byte 0 of the row or later
-    int_len = np.maximum(decpt, 1)
     frac_len = np.maximum(significant - decpt, min_frac)
     point = frac_len > 0
     windows = np.ndarray((max(src.size * 8 - WIDTH + 1, 0),), dtype=f"V{WIDTH}", buffer=src,
@@ -265,16 +265,16 @@ def _positional(digits: np.ndarray, decpt: np.ndarray, negative: np.ndarray,
     words[:-1] |= integer[1:] << _U(56)
     flat = slots.ravel()
     flat[np.arange(0, WIDTH * n, WIDTH) + (WIDTH - 1 - frac_len) * point] = ord(".")
-    lengths = int_len + point + frac_len
+    lengths = np.maximum(decpt, 1) + point + frac_len + negative
+    words &= np.take(_HIGH, WIDTH - lengths, axis=0).ravel()
     negative = np.flatnonzero(negative)
-    lengths[negative] += 1
     flat[negative * WIDTH + WIDTH - lengths[negative]] = ord("-")
-    return slots, lengths
+    return slots
 
 
 def _render(values: np.ndarray, laid: np.ndarray, digits: np.ndarray, decpt: np.ndarray,
-            min_frac: int, text: Callable[[float], str]) -> tuple[np.ndarray, np.ndarray]:
-    """Slots and lengths of a float column.
+            min_frac: int, text: Callable[[float], str]) -> np.ndarray:
+    """Slots of a float column.
 
     A cell where ``laid`` is set is laid out by ``_positional`` from its
     ``digits`` and point position ``decpt``; any other cell is ``text`` of
@@ -282,25 +282,19 @@ def _render(values: np.ndarray, laid: np.ndarray, digits: np.ndarray, decpt: np.
     """
     cells = np.flatnonzero(laid)
     if len(cells) == len(values):
-        slots, lengths = _positional(digits, decpt, np.signbit(values), min_frac)
-    else:
-        slots = np.empty((len(values), WIDTH), dtype=np.uint8)
-        lengths = np.zeros(len(values), dtype=np.int64)
-        if len(cells):
-            slots[cells], lengths[cells] = _positional(digits[cells], decpt[cells],
-                                                       np.signbit(values[cells]), min_frac)
+        return _positional(digits, decpt, np.signbit(values), min_frac)
+    slots = np.zeros((len(values), WIDTH), dtype=np.uint8)
+    if len(cells):
+        slots[cells] = _positional(digits[cells], decpt[cells], np.signbit(values[cells]),
+                                   min_frac)
     for i in np.flatnonzero(~laid & ~np.isnan(values)).tolist():
         cell = text(float(values[i])).encode()
-        lengths[i] = len(cell)
         slots[i, WIDTH - len(cell):] = np.frombuffer(cell, np.uint8)
-    return slots, lengths
+    return slots
 
 
-def repr_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``repr`` of each float as right-aligned ASCII in a (n, WIDTH) uint8 array, and the lengths.
-
-    The bytes left of each cell's text are unspecified.  NaN is an empty cell.
-    """
+def repr_slots(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float, NaN empty, as zero-padded (n, WIDTH) right-aligned ASCII."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     magnitude = values.view(_U) & _MASK_63
     normal = np.flatnonzero((magnitude >= _U(2**52)) & (magnitude < _U(0x7FF << 52)))
@@ -316,12 +310,8 @@ def repr_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _render(values, laid, digits, decpt, 1, repr)
 
 
-def g17_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``'%.17g' %`` of each float as right-aligned ASCII in a (n, WIDTH) uint8 array, and
-    the lengths.
-
-    The bytes left of each cell's text are unspecified.  NaN is an empty cell.
-    """
+def g17_slots(values: np.ndarray) -> np.ndarray:
+    """``'%.17g' %`` of each float, NaN empty, as zero-padded (n, WIDTH) right-aligned ASCII."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     size = np.abs(values)
     scaled = np.flatnonzero((size >= 1e-5) & (size < 1e18))
@@ -334,3 +324,25 @@ def g17_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         decpt[scaled] = x + 1
         laid[scaled] = (x >= -4) & (x <= 16)
     return _render(values, laid, digits, decpt, 0, "%.17g".__mod__)
+
+
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=_U)  # 10**19 < 2**64
+
+
+def int_slots(values: np.ndarray) -> np.ndarray:
+    """``'%d' %`` of each int as zero-padded (n, WIDTH) right-aligned ASCII."""
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    negative = values < 0
+    magnitude = np.abs(values).view(_U)  # abs(-2**63) wraps to -2**63, 2**63 as uint64
+    groups = np.empty((len(values), 3), dtype=_U)  # digits 1-8, 9-16, 17-24 of 24
+    np.floor_divide(magnitude, _E16, out=groups[:, 0])
+    rest = magnitude - groups[:, 0] * _E16
+    np.floor_divide(rest, _U(10**8), out=groups[:, 1])
+    groups[:, 2] = rest - groups[:, 1] * _U(10**8)
+    words = (_swar8(groups) + _ASCII).astype(_LE, copy=False)
+    lengths = np.searchsorted(_POW10, magnitude, side="right") + 1 + negative
+    words &= np.take(_HIGH, WIDTH - lengths, axis=0)
+    slots = words.view(np.uint8)
+    negative = np.flatnonzero(negative)
+    slots.ravel()[negative * WIDTH + WIDTH - lengths[negative]] = ord("-")
+    return slots

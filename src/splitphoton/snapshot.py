@@ -42,6 +42,8 @@ def reflection_snapshot(mode: ModeSpec, s: float, n_points: int = 1024) -> Snaps
 
 def free_snapshot(mode: ModeSpec, t: float, n_points: int = 1024) -> Snapshot:
     """Snapshot of the free split state over its support [-ct, a + ct]."""
+    if not np.isfinite(mode.a + 2 * mode.c * t):
+        raise ValueError(f"support [-ct, a + ct] at t = {t!r} has no finite length")
     x = np.linspace(-mode.c * t, mode.a + mode.c * t, n_points)
     e, b = wavestate.split_state(mode, x, t)
     return _build("t", t, x, e, b)

@@ -61,6 +61,9 @@ class ModeSpec:
             raise ValueError("mode index n must be a positive integer")
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ValueError("wave speed c must be positive and finite")
+        k = min(int(self.n), 2**1023) * np.pi / self.a  # self.k, but inf for n >= 2**1023
+        if not math.isfinite(self.c * k):  # self.omega; a finite omega implies a finite k
+            raise ValueError("wavenumber k = n*pi/a and frequency omega = c*k must be finite")
 
     @property
     def k(self) -> float:
@@ -180,6 +183,8 @@ def split_pieces(mode: ModeSpec, t: float) -> tuple[Piece, ...]:
     While the pulses overlap, their sum on [ct, a - ct] is the standing wave
     E = A cos(kct) sin(kx), B = -A sin(kct) cos(kx).
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     if t < 0:
         raise ValueError("time must be non-negative after release")
     ct = mode.c * t

@@ -157,6 +157,14 @@ class TestSnapshot:
         assert main(["snapshot", "--s", "0.2", "--t", "0.3"]) == 1
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "1e308"])
+    def test_non_finite_support_exits_one(self, tmp_path, capsys, t):
+        # at t = 1e308 the support's length a + 2ct overflows
+        out = tmp_path / "snap.csv"
+        assert main(["snapshot", "--t", t, "--grid", "3", "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_digits17_formatting(self, tmp_path):
         out = tmp_path / "snap.csv"
         main(["snapshot", "--s", "0.5", "--grid", "128", "--out", str(out), "--digits17"])
@@ -175,6 +183,14 @@ class TestEnergy:
         assert list(data.dtype.names) == ["s", "e_rw", "e_E_sw", "e_B_sw", "e_sw", "total"]
         assert np.allclose(data["total"], 1.0, atol=1e-12)
         assert np.allclose(data["e_rw"] + data["e_sw"], 1.0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("argv", [["energy", "--a", "1e-320", "--steps", "2"],
+                                      ["check", "--a", "1e-320"]])
+    def test_non_finite_wavenumber_exits_one(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "wavenumber" in captured.err and captured.out == ""
 
 
 class TestTrack:

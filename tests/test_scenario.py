@@ -1,7 +1,8 @@
+import math
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitphoton.experiments import (
@@ -108,6 +109,7 @@ class TestParsing:
             ("[run]\nmodel = coin-flip\n", 2, "unknown model"),
             ("[detector]\nid = D1\n", 1, "missing key 'position'"),
             ("[detector]\nid =\nposition = 3.0\n", 2, "instrument id '' must be non-empty"),
+            ("[detector]\nposition = 3.0\nid = A\x00B\n", 3, "without '#', NUL"),
             ("[run]\nseed = 1\ntrials = 0\n", 3, "trial count must be at least 1"),
             ("[run]\nseed = 340282366920938463463374607431768211456\n", 2, "seed must lie in"),
             ("[run]\ntie_rule = nearest\nseed = 3\n", 2, "unknown tie rule"),
@@ -155,7 +157,8 @@ class TestElectronGuns:
 
 
 class TestInstrumentIds:
-    @pytest.mark.parametrize("bad", ["", "A#1", " A", "A ", "A\nB", "A\rB", "\t", "A\x85B"])
+    @pytest.mark.parametrize("bad", ["", "A#1", " A", "A ", "A\nB", "A\rB", "\t", "A\x85B",
+                                     "A\x00B"])
     def test_ids_that_cannot_round_trip_are_rejected(self, bad):
         ins = Instrument(bad, InstrumentKind.PHOTON_DETECTOR, 3.0)
         with pytest.raises(ValueError, match="instrument id"):
@@ -181,7 +184,9 @@ def _above(lo):
 
 @st.composite
 def _scenarios(draw):
-    mode = ModeSpec(a=draw(_POSITIVE), n=draw(st.integers(1, 64)), c=draw(_POSITIVE))
+    a, n, c = draw(_POSITIVE), draw(st.integers(1, 64)), draw(_POSITIVE)
+    assume(math.isfinite(c * (n * math.pi / a)))  # a mode's k and omega are finite
+    mode = ModeSpec(a=a, n=n, c=c)
     mirror = draw(st.none() | _above(mode.a))
     count = draw(st.integers(0, 4))
     ids = draw(st.lists(_ID, min_size=count, max_size=count, unique=True))

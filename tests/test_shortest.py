@@ -7,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitphoton import shortest
-from splitphoton.shortest import WIDTH, g17_digits, g17_slots, repr_slots, shortest_digits
+from splitphoton.shortest import (WIDTH, g17_digits, g17_slots, int_slots, repr_slots,
+                                  shortest_digits)
+
+
+def _cells(slots) -> list[str]:
+    """Each slot's text: the bytes after its leading zeros."""
+    assert slots.shape[1:] == (WIDTH,)
+    return [bytes(row).lstrip(b"\0").decode("ascii") for row in slots]
 
 
 def _texts(values) -> list[str]:
-    slots, lengths = repr_slots(np.asarray(values, dtype=np.float64))
-    assert slots.shape == (len(lengths), WIDTH)
-    return [bytes(row[WIDTH - length:]).decode("ascii") for row, length in zip(slots, lengths)]
+    return _cells(repr_slots(np.asarray(values, dtype=np.float64)))
 
 
 def _expected(values) -> list[str]:
@@ -135,14 +140,11 @@ class TestReprSlots:
         assert _texts(values) == _expected(values)
 
     def test_empty(self):
-        slots, lengths = repr_slots(np.array([]))
-        assert slots.shape == (0, WIDTH) and lengths.shape == (0,)
+        assert repr_slots(np.array([])).shape == (0, WIDTH)
 
 
 def _g17_texts(values) -> list[str]:
-    slots, lengths = g17_slots(np.asarray(values, dtype=np.float64))
-    assert slots.shape == (len(lengths), WIDTH)
-    return [bytes(row[WIDTH - length:]).decode("ascii") for row, length in zip(slots, lengths)]
+    return _cells(g17_slots(np.asarray(values, dtype=np.float64)))
 
 
 def _g17_expected(values) -> list[str]:
@@ -258,8 +260,7 @@ class TestG17Slots:
         assert _g17_texts(values) == _g17_expected(values)
 
     def test_empty(self):
-        slots, lengths = g17_slots(np.array([]))
-        assert slots.shape == (0, WIDTH) and lengths.shape == (0,)
+        assert g17_slots(np.array([])).shape == (0, WIDTH)
 
 
 @pytest.mark.parametrize("writer,kernel", [(repr_slots, "shortest_digits"),
@@ -271,8 +272,8 @@ class TestKernelInput:
         def fail(*args):
             raise AssertionError("kernel called")
         monkeypatch.setattr(shortest, kernel, fail)
-        slots, lengths = writer(np.full(3000, np.nan))
-        assert slots.shape == (3000, WIDTH) and not lengths.any()
+        slots = writer(np.full(3000, np.nan))
+        assert slots.shape == (3000, WIDTH) and not slots.any()
 
     def test_kernel_sees_only_finite_nonzero_cells(self, writer, kernel, monkeypatch):
         seen = []
@@ -286,8 +287,69 @@ class TestKernelInput:
         values[::7] = np.linspace(0.5, 2.0, len(values[::7]))
         values[1::7] = 0.0
         values[2::7] = np.inf
-        slots, lengths = writer(values)
+        texts = _cells(writer(values))
         assert seen == [len(values[::7])]
-        texts = [bytes(row[WIDTH - n:]).decode() for row, n in zip(slots, lengths)]
         expected = repr if writer is repr_slots else "%.17g".__mod__
         assert texts == ["" if math.isnan(v) else expected(v) for v in values.tolist()]
+
+
+def _int_texts(values) -> list[str]:
+    return _cells(int_slots(np.asarray(values, dtype=np.int64)))
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+class TestIntSlots:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_INT64, min_size=1, max_size=64))
+    def test_every_int64_formats_as_percent(self, values):
+        assert _int_texts(values) == ["%d" % v for v in values]
+
+    def test_named_edges(self):
+        values = [0, 2**63 - 1, -2**63]
+        for k in range(1, 19):
+            values += [10**k - 1, 10**k, 10**k + 1]
+        values += [1, 10**18 + 1] + [-v for v in values if v > 0]
+        assert _int_texts(values) == ["%d" % v for v in values]
+
+    def test_random_int64(self):
+        rng = np.random.default_rng(40)
+        values = rng.integers(-2**63, 2**63 - 1, 20_000, endpoint=True)
+        values >>= rng.integers(0, 64, 20_000)  # magnitudes of every length
+        assert _int_texts(values) == ["%d" % v for v in values.tolist()]
+
+    def test_empty(self):
+        assert int_slots(np.array([], dtype=np.int64)).shape == (0, WIDTH)
+
+
+class TestZeroPadding:
+    """Every writer's slot is zeros, then text that holds no zero byte."""
+
+    @staticmethod
+    def _check(slots):
+        for row in slots:
+            text = bytes(row).lstrip(b"\0")
+            assert b"\0" not in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_INT64, min_size=1, max_size=64))
+    def test_int_slots(self, values):
+        self._check(int_slots(np.array(values, dtype=np.int64)))
+
+    @pytest.mark.parametrize("writer", [repr_slots, g17_slots])
+    @settings(max_examples=200, deadline=None)
+    @given(patterns=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_float_writers(self, writer, patterns):
+        self._check(writer(np.array(patterns, dtype=np.uint64).view(np.float64)))
+
+    @pytest.mark.parametrize("writer", [repr_slots, g17_slots])
+    def test_whole_and_mixed_columns(self, writer):
+        # a column of positional cells only is laid out in one piece; NaN,
+        # exponent-form and positional cells together take the mixed path
+        rng = np.random.default_rng(41)
+        values = 10.0 ** rng.uniform(-3, 15, 5000) * rng.choice([-1.0, 1.0], 5000)
+        self._check(writer(values))
+        values *= 10.0 ** rng.integers(-30, 30, 5000)
+        values[::11] = np.nan
+        self._check(writer(values))

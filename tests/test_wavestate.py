@@ -35,6 +35,15 @@ class TestModeSpec:
         with pytest.raises(ValueError):
             ModeSpec(**bad)
 
+    @pytest.mark.parametrize("bad", [dict(a=1e-320), dict(a=1e-300, c=1e308), dict(n=10**400)])
+    def test_non_finite_wavenumber_or_frequency_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            ModeSpec(**bad)
+
+    def test_smallest_lengths_with_finite_wavenumber_accepted(self):
+        mode = ModeSpec(a=1e-300, n=3)
+        assert np.isfinite(mode.k) and np.isfinite(mode.omega) and np.isfinite(mode.amplitude)
+
 
 class TestEigenmode:
     def test_node_at_walls(self):
@@ -155,6 +164,13 @@ class TestSplitState:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             split_state(ModeSpec(), 0.5, -0.1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            split_pieces(ModeSpec(), t)
+        with pytest.raises(ValueError, match="finite"):
+            split_state(ModeSpec(), 0.5, t)
 
     @settings(max_examples=25, deadline=None)
     @given(t=st.floats(0.0, 4.0), x=st.floats(-6.0, 6.0))
