@@ -158,38 +158,37 @@ def cmd_snapshot(args) -> int:
 def cmd_energy(args) -> int:
     mode = _mode_from_args(args)
     s_values = np.linspace(0.0, mode.a, args.steps)
-    ledgers = [reflection.energy_ledger(mode, s) for s in s_values]
-    table = np.array(
-        [(led.e_rw, led.e_E_sw, led.e_B_sw, led.e_sw, led.total / mode.a) for led in ledgers],
-        dtype=float,
-    ).reshape(-1, 5)
+    led = reflection.energy_ledger(mode, s_values)
     _write_csv(args.out, ["s", "e_rw", "e_E_sw", "e_B_sw", "e_sw", "total"],
-               [s_values, *table.T], args.digits17)
+               [s_values, led.e_rw, led.e_E_sw, led.e_B_sw, led.e_sw, led.total / mode.a],
+               args.digits17)
     return EXIT_OK
 
 
-def _located_inner_jump(mode: ModeSpec, s: float, grid: int) -> Optional[float]:
-    snap = reflection_snapshot(mode, s, n_points=grid)
+def _located_inner_jumps(mode: ModeSpec, s_values: np.ndarray, grid: int) -> np.ndarray:
+    """The located inner jump at each s, NaN where none was found; the rows of
+    each ``validation.row_blocks`` slice share one snapshot and one locator call."""
     cell = mode.a / (grid - 1)
-    far_edge = reflection.domains(mode.a, s).rw[0]
-    candidates = [
-        j
-        for j in validation.locate_jumps(snap)
-        if abs(j.location - far_edge) > 1.5 * cell and abs(j.location) > 1.5 * cell
-    ]
-    if not candidates:
-        return None
-    return max(candidates, key=lambda j: j.score).location
+    far_edge = reflection.domains(mode.a, s_values).rw[0]
+    located = np.full(len(s_values), np.nan)
+    for block in validation.row_blocks(len(s_values), grid):
+        snap = reflection_snapshot(mode, s_values[block], n_points=grid)
+        for i, jumps in enumerate(validation.locate_jumps(snap), start=block.start):
+            candidates = [j for j in jumps
+                          if abs(j.location - far_edge[i]) > 1.5 * cell
+                          and abs(j.location) > 1.5 * cell]
+            if candidates:
+                located[i] = max(candidates, key=lambda j: j.score).location
+    return located
 
 
 def cmd_track(args) -> int:
     mode = _mode_from_args(args)
+    if args.grid < validation.MIN_GRID:
+        raise ValueError(f"grid too coarse: need at least {validation.MIN_GRID} points")
     s_values = np.linspace(0.0, mode.a, args.steps + 2)[1:-1]
-    x_analytic = np.array(
-        [reflection.inner_discontinuity_position(mode.a, s) for s in s_values]
-    )
-    x_located = np.array([_located_inner_jump(mode, s, args.grid) for s in s_values],
-                         dtype=float)  # NaN where no jump was located
+    x_analytic = reflection.inner_discontinuity_position(mode.a, s_values)
+    x_located = _located_inner_jumps(mode, s_values, args.grid)
     residual = np.abs(x_located - x_analytic)
     _write_csv(args.out, ["s", "x_D_analytic", "x_D_located", "residual"],
                [s_values, x_analytic, x_located, residual], args.digits17)
@@ -238,10 +237,16 @@ def _wall_tolerances(mode: ModeSpec) -> tuple[float, float]:
     at the far wall, and dB/dx carries a further factor k = n pi / a, so at
     fixed a the residuals grow as n (n + 1) / 2 <= n^2 times their n = 1
     values.  The amplitude is 1 / sqrt(a): E scales as a^-1/2 and dB/dx as
-    a^-3/2.  Both bounds are 1e-12 at a = 1, n = 1.
+    a^-3/2.  Both bounds are 1e-12 at a = 1, n = 1.  Where a bound or dB/dx's
+    scale k sqrt(2/a) is no positive finite double (at n = 1, a below ~8e-206
+    or above ~5e207; float * and / give inf or 0, never raise): ValueError.
     """
-    scale = 1e-12 * mode.n ** 2
-    return scale / math.sqrt(mode.a), scale / mode.a ** 1.5
+    e_tol = 1e-12 * (float(mode.n) * float(mode.n)) / math.sqrt(mode.a)
+    bounds = (e_tol, e_tol / mode.a)
+    if not all(0.0 < v < math.inf for v in (*bounds, mode.k * math.sqrt(2.0 / mode.a))):
+        raise ValueError(f"a = {mode.a!r}, n = {mode.n} is outside the wall check's range: "
+                         "its bounds and the scale of dB/dx must be positive finite doubles")
+    return bounds
 
 
 def cmd_check(args) -> int:
@@ -255,7 +260,7 @@ def cmd_check(args) -> int:
         print(f"{'OK  ' if ok else 'FAIL'} {name}: residual {residual:.3e} (tol {tol:.1e})")
 
     # the line shows whichever of E and dB/dx is nearer its bound
-    (e_res, b_res), (e_tol, b_tol) = wavestate.boundary_check(mode), _wall_tolerances(mode)
+    (e_tol, b_tol), (e_res, b_res) = _wall_tolerances(mode), wavestate.boundary_check(mode)
     report("cavity wall conditions (E, dB/dx)",
            *max((e_res, e_tol), (b_res, b_tol), key=lambda pair: pair[0] / pair[1]))
 

@@ -92,49 +92,53 @@ class EnergyLedger:
         return EnergyLedger(self.e_rw / a, self.e_E_sw / a, self.e_B_sw / a, self.e_sw / a)
 
 
-def _check_s(mode: ModeSpec, s: float) -> None:
-    if not 0.0 <= s <= mode.a:
-        raise ValueError(f"s must lie in [0, {mode.a}], got {s}")
+def _check_s(a: float, s: ArrayLike) -> None:
+    s = np.asarray(s)
+    outside = ~((0.0 <= s) & (s <= a))  # NaN too
+    if outside.any():
+        raise ValueError(f"s must lie in [0, {a}], got {s[outside].flat[0]}")
 
 
-def domains(a: float, s: float) -> DomainSplit:
-    """RW/SW intervals at moment s; degenerate intervals collapse to points."""
+def domains(a: float, s: ArrayLike) -> DomainSplit:
+    """RW/SW intervals at moment s (arrays for an array of s); degenerate ones are points."""
     if a <= 0:
         raise ValueError("a must be positive")
-    if not 0.0 <= s <= a:
-        raise ValueError(f"s must lie in [0, {a}], got {s}")
-    if s <= a / 2:
-        return DomainSplit(rw=(-a + s, -s), sw=(-s, 0.0))
-    return DomainSplit(rw=(-s, s - a), sw=(s - a, 0.0))
+    _check_s(a, s)
+    first = s <= a / 2
+    inner = np.where(first, -s, s - a)[()]
+    return DomainSplit(rw=(np.where(first, -a + s, -s)[()], inner), sw=(inner, 0.0))
 
 
-def inner_discontinuity_position(a: float, s: float) -> float:
+def inner_discontinuity_position(a: float, s: ArrayLike) -> ArrayLike:
     """Location of the co-moving inner derivative discontinuities, -min(s, a-s)."""
-    return -min(s, a - s)
+    return -np.minimum(s, a - s)
 
 
-def reflection_pieces(mode: ModeSpec, s: float) -> tuple[Piece, Piece]:
+def reflection_pieces(mode: ModeSpec, s: ArrayLike) -> tuple[Piece, Piece]:
     """Running-wave and standing-wave pieces at moment s, prefactor 1/sqrt(a) included.
 
     SW: E = -2 sin(kx) cos(ks), B = 2 cos(kx) sin(ks).  RW: E = B = -sin k(x-s)
     in the first stage; E = -sin k(x+s), B = +sin k(x+s) in the second, which
-    keeps both fields continuous at the RW/SW border for every mode.
+    keeps both fields continuous at the RW/SW border for every mode.  A column
+    of s, shape (rows, 1), gives a stack of tables for ``evaluate``.
     """
     a, k = mode.a, mode.k
     pref = 1.0 / math.sqrt(a)
     dom = domains(a, s)  # also rejects s outside [0, a]
+    first = s <= a / 2
     ks = k * s
-    if s <= a / 2:
-        rw = Piece(dom.rw[0], dom.sw[0], -pref, -ks, -pref, -ks)
-    else:
-        rw = Piece(dom.rw[0], dom.sw[0], -pref, ks, pref, ks)
-    sw = Piece(dom.sw[0], 0.0, -2.0 * pref * math.cos(ks), 0.0,
-               2.0 * pref * math.sin(ks), 0.5 * math.pi)
+    phase = np.where(first, -ks, ks)[()]
+    rw = Piece(dom.rw[0], dom.sw[0], -pref, phase, np.where(first, -pref, pref)[()], phase)
+    sw = Piece(dom.sw[0], 0.0, -2.0 * pref * np.cos(ks), 0.0,
+               2.0 * pref * np.sin(ks), 0.5 * math.pi)
     return rw, sw
 
 
-def reflect_field(mode: ModeSpec, s: float, x: ArrayLike) -> FieldSample:
-    """Instantaneous (E, B) of the reflecting pulse; zero past the mirror."""
+def reflect_field(mode: ModeSpec, s: ArrayLike, x: ArrayLike) -> FieldSample:
+    """Instantaneous (E, B) of the reflecting pulse; zero past the mirror.
+
+    A column of s, shape (rows, 1), against x of shape (rows, m) gives row i at s[i].
+    """
     return evaluate(reflection_pieces(mode, s), mode.k, x)
 
 
@@ -174,22 +178,17 @@ def discontinuities(mode: ModeSpec, s: float) -> list[DiscontinuityRecord]:
     return records
 
 
-def energy_ledger(mode: ModeSpec, s: float) -> EnergyLedger:
-    """Closed-form domain energies at moment s (bare convention, total = a)."""
-    _check_s(mode, s)
+def energy_ledger(mode: ModeSpec, s: ArrayLike) -> EnergyLedger:
+    """Closed-form domain energies at moment s (bare convention, total = a), per s."""
     a, k = mode.a, mode.k
+    _check_s(a, s)
     sin4 = np.sin(4.0 * k * s) / (2.0 * k)
     sin2 = np.sin(2.0 * k * s) / (2.0 * k)
-    cos2ks = np.cos(k * s) ** 2
-    sin2ks = np.sin(k * s) ** 2
-    if s <= a / 2:
-        e_rw = a - 2.0 * s + sin4
-        e_e = 2.0 * (s - sin2) * cos2ks
-        e_b = 2.0 * (s + sin2) * sin2ks
-        e_sw = 2.0 * s - sin4
-    else:
-        e_rw = 2.0 * s - a - sin4
-        e_e = (2.0 * (a - s) + 2.0 * sin2) * cos2ks
-        e_b = (2.0 * (a - s) - 2.0 * sin2) * sin2ks
-        e_sw = 2.0 * (a - s) + sin4
-    return EnergyLedger(e_rw=float(e_rw), e_E_sw=float(e_e), e_B_sw=float(e_b), e_sw=float(e_sw))
+    cos_ks, sin_ks = np.cos(k * s), np.sin(k * s)
+    cos2ks, sin2ks = cos_ks * cos_ks, sin_ks * sin_ks
+    first = s <= a / 2
+    e_rw = np.where(first, a - 2.0 * s + sin4, 2.0 * s - a - sin4)
+    e_e = np.where(first, 2.0 * (s - sin2) * cos2ks, (2.0 * (a - s) + 2.0 * sin2) * cos2ks)
+    e_b = np.where(first, 2.0 * (s + sin2) * sin2ks, (2.0 * (a - s) - 2.0 * sin2) * sin2ks)
+    e_sw = np.where(first, 2.0 * s - sin4, 2.0 * (a - s) + sin4)
+    return EnergyLedger(e_rw=e_rw[()], e_E_sw=e_e[()], e_B_sw=e_b[()], e_sw=e_sw[()])

@@ -17,15 +17,15 @@ class Snapshot:
     """Sampled (x, E, B, rho) arrays at a fixed time parameter."""
 
     param_name: str  # "t" or "s"
-    param: float
+    param: float  # or an array of s, one per row of E, B and rho
     x: np.ndarray
     E: np.ndarray
     B: np.ndarray
     rho: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.x)
-        if not (len(self.E) == len(self.B) == len(self.rho) == n):
+        shape = np.shape(self.E)
+        if not (np.shape(self.B) == np.shape(self.rho) == shape and shape[-1:] == (len(self.x),)):
             raise ValueError("snapshot arrays must have equal length")
 
 
@@ -33,10 +33,12 @@ def _build(param_name: str, param: float, x: np.ndarray, e: np.ndarray, b: np.nd
     return Snapshot(param_name=param_name, param=param, x=x, E=e, B=b, rho=e * e + b * b)
 
 
-def reflection_snapshot(mode: ModeSpec, s: float, n_points: int = 1024) -> Snapshot:
-    """Snapshot of the reflecting pulse on [-a, 0]."""
+def reflection_snapshot(mode: ModeSpec, s, n_points: int = 1024) -> Snapshot:
+    """Snapshot of the reflecting pulse on [-a, 0]; for an array of s, E, B and
+    rho hold a row per s, all from one ``reflect_field`` call."""
     x = np.linspace(-mode.a, 0.0, n_points)
-    e, b = reflection.reflect_field(mode, s, x)
+    column = np.asarray(s, dtype=float)[..., None]
+    e, b = reflection.reflect_field(mode, column, np.broadcast_to(x, column.shape[:-1] + x.shape))
     return _build("s", s, x, e, b)
 
 

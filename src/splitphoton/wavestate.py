@@ -104,7 +104,12 @@ class Piece(NamedTuple):
 
 
 def evaluate(pieces: tuple[Piece, ...], k: float, x: ArrayLike) -> FieldSample:
-    """Fields of a piece table at x; zero outside the pieces, last piece closed."""
+    """Fields of a piece table at x; zero outside the pieces, last piece closed.
+
+    A stack of tables evaluates in one call: ``Piece`` fields of shape
+    (rows, 1) against x of shape (rows, m) give row i the table of row i.
+    Either way each piece's sinusoid is computed at the points inside it only.
+    """
     x = np.asarray(x, dtype=float)
     e = np.zeros(x.shape)
     b = np.zeros(x.shape)
@@ -113,8 +118,12 @@ def evaluate(pieces: tuple[Piece, ...], k: float, x: ArrayLike) -> FieldSample:
     for i, p in enumerate(pieces):
         inside = (x >= p.lo) & ((x <= p.hi) if i == last else (x < p.hi))
         arg = kx[inside]
-        e[inside] = p.e_amp * np.sin(arg + p.e_phase)
-        b[inside] = p.b_amp * np.sin(arg + p.b_phase)
+        e_amp, e_phase, b_amp, b_phase = (
+            np.ravel(v)[0] if np.size(v) == 1 else np.broadcast_to(v, x.shape)[inside]
+            for v in p[2:]
+        )
+        e[inside] = e_amp * np.sin(arg + e_phase)
+        b[inside] = b_amp * np.sin(arg + b_phase)
     if e.ndim == 0:
         return FieldSample(float(e), float(b))
     return FieldSample(e, b)

@@ -212,6 +212,19 @@ class TestTrack:
         assert all((row[2] == "") == (row[3] == "") for row in rows)
 
 
+    def test_grid_too_coarse_exits_one(self, tmp_path, capsys):
+        # grid 1 used to divide by zero for the cell width
+        for grid in ("1", "63"):
+            assert main(["track", "--grid", grid, "--out", str(tmp_path / "t.csv")]) == 1
+            assert "grid too coarse" in capsys.readouterr().err
+
+    def test_rows_past_one_block(self, tmp_path):
+        # 100 rows of 4096 points take 25 snapshot blocks
+        out = tmp_path / "track.csv"
+        assert main(["track", "--steps", "100", "--grid", "4096", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 101
+
+
 class TestDce:
     def test_csv_header_and_rows(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "trials.csv"
@@ -370,6 +383,29 @@ class TestCheck:
 
     def test_wall_tolerance_is_unchanged_at_unit_length(self):
         assert _wall_tolerances(ModeSpec(n=7)) == (1e-12 * 49, 1e-12 * 49)
+
+    @pytest.mark.parametrize("argv", [["--a", "1e300"], ["--a", "1e-300"], ["--a", "1e-210"],
+                                      ["--a", "1e210"], ["--n", str(10**200)]])
+    def test_outside_the_wall_range_exits_one(self, capsys, argv):
+        # a ** 1.5 overflowed at 1e300 and underflowed to a ZeroDivisionError at
+        # 1e-300; an int n ** 2 past the float range could not be converted
+        assert main(["check", *argv]) == 1
+        captured = capsys.readouterr()
+        assert "outside the wall check's range" in captured.err and captured.out == ""
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_a=st.floats(-205.0, 207.0))
+    def test_wall_tolerances_are_positive_and_finite_inside_the_range(self, log_a):
+        e_tol, b_tol = _wall_tolerances(ModeSpec(a=10.0**log_a))
+        assert 0.0 < e_tol < math.inf and 0.0 < b_tol < math.inf
+
+    def test_edges_of_a_run_without_a_traceback(self):
+        for a in ("1e300", "1e-300"):
+            proc = subprocess.run([sys.executable, "-m", "splitphoton.cli", "check", "--a", a],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": os.path.join(
+                                      os.path.dirname(__file__), os.pardir, "src")})
+            assert proc.returncode in (0, 1, 2) and "Traceback" not in proc.stderr
 
 
 class TestUsage:
