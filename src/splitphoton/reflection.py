@@ -92,18 +92,20 @@ class EnergyLedger:
         return EnergyLedger(self.e_rw / a, self.e_E_sw / a, self.e_B_sw / a, self.e_sw / a)
 
 
-def _check_s(a: float, s: ArrayLike) -> None:
-    s = np.asarray(s)
+def _check_s(a: float, s: ArrayLike) -> np.ndarray:
+    """s as a float array (0-d for a scalar), once every entry lies in [0, a]."""
+    s = np.asarray(s, dtype=float)
     outside = ~((0.0 <= s) & (s <= a))  # NaN too
     if outside.any():
         raise ValueError(f"s must lie in [0, {a}], got {s[outside].flat[0]}")
+    return s
 
 
 def domains(a: float, s: ArrayLike) -> DomainSplit:
     """RW/SW intervals at moment s (arrays for an array of s); degenerate ones are points."""
     if a <= 0:
         raise ValueError("a must be positive")
-    _check_s(a, s)
+    s = _check_s(a, s)
     first = s <= a / 2
     inner = np.where(first, -s, s - a)[()]
     return DomainSplit(rw=(np.where(first, -a + s, -s)[()], inner), sw=(inner, 0.0))
@@ -111,6 +113,7 @@ def domains(a: float, s: ArrayLike) -> DomainSplit:
 
 def inner_discontinuity_position(a: float, s: ArrayLike) -> ArrayLike:
     """Location of the co-moving inner derivative discontinuities, -min(s, a-s)."""
+    s = np.asarray(s, dtype=float)
     return -np.minimum(s, a - s)
 
 
@@ -124,6 +127,7 @@ def reflection_pieces(mode: ModeSpec, s: ArrayLike) -> tuple[Piece, Piece]:
     """
     a, k = mode.a, mode.k
     pref = 1.0 / math.sqrt(a)
+    s = np.asarray(s, dtype=float)
     dom = domains(a, s)  # also rejects s outside [0, a]
     first = s <= a / 2
     ks = k * s
@@ -181,7 +185,7 @@ def discontinuities(mode: ModeSpec, s: float) -> list[DiscontinuityRecord]:
 def energy_ledger(mode: ModeSpec, s: ArrayLike) -> EnergyLedger:
     """Closed-form domain energies at moment s (bare convention, total = a), per s."""
     a, k = mode.a, mode.k
-    _check_s(a, s)
+    s = _check_s(a, s)
     sin4 = np.sin(4.0 * k * s) / (2.0 * k)
     sin2 = np.sin(2.0 * k * s) / (2.0 * k)
     cos_ks, sin_ks = np.cos(k * s), np.sin(k * s)

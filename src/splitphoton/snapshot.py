@@ -17,7 +17,7 @@ class Snapshot:
     """Sampled (x, E, B, rho) arrays at a fixed time parameter."""
 
     param_name: str  # "t" or "s"
-    param: float  # or an array of s, one per row of E, B and rho
+    param: float | np.ndarray  # an array holds one s per row of E, B and rho
     x: np.ndarray
     E: np.ndarray
     B: np.ndarray
@@ -29,11 +29,12 @@ class Snapshot:
             raise ValueError("snapshot arrays must have equal length")
 
 
-def _build(param_name: str, param: float, x: np.ndarray, e: np.ndarray, b: np.ndarray) -> Snapshot:
+def _build(param_name: str, param: float | np.ndarray, x: np.ndarray, e: np.ndarray,
+           b: np.ndarray) -> Snapshot:
     return Snapshot(param_name=param_name, param=param, x=x, E=e, B=b, rho=e * e + b * b)
 
 
-def reflection_snapshot(mode: ModeSpec, s, n_points: int = 1024) -> Snapshot:
+def reflection_snapshot(mode: ModeSpec, s: float | np.ndarray, n_points: int = 1024) -> Snapshot:
     """Snapshot of the reflecting pulse on [-a, 0]; for an array of s, E, B and
     rho hold a row per s, all from one ``reflect_field`` call."""
     x = np.linspace(-mode.a, 0.0, n_points)

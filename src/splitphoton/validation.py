@@ -29,11 +29,8 @@ DEFAULT_TOL = 1e-10
 MAX_DEPTH = 24
 JUMP_THRESHOLD = 30.0
 MIN_GRID = 64
-# points per row block: an ``integrate`` level calls ``f`` on at most this many
-# nodes at once (one segment may hold more), and ``track`` builds its snapshot
-# rows this many points at a time, so neither's arrays grow with the row count.
-# On the oracles benchmark 2**14 adds ~2% peak RSS over one-segment calls;
-# 2**15 to 2**18 added ~6-7% and ran no clearly faster
+# points per row block (one segment may hold more): ``integrate`` levels and
+# ``track`` snapshots work a block at a time, so memory does not grow with rows
 ROW_POINTS = 2**14
 
 
@@ -60,8 +57,7 @@ class LocatedJump:
 
 
 def row_blocks(rows: int, row_points: int) -> Iterator[slice]:
-    """Slices of at most ``ROW_POINTS`` points, and at least one row, over
-    ``rows`` rows of ``row_points`` points."""
+    """Slices over ``rows`` rows of ``row_points`` points: ``ROW_POINTS`` or one row each."""
     step = max(1, ROW_POINTS // max(row_points, 1))
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
@@ -190,13 +186,14 @@ def _jumps_in(x: np.ndarray, y: np.ndarray, quantity: Quantity,
     return jumps
 
 
-def locate_jumps(snapshot: Snapshot, threshold_factor: float = JUMP_THRESHOLD) -> list:
+def locate_jumps(snapshot: Snapshot,
+                 threshold_factor: float = JUMP_THRESHOLD) -> list[list[LocatedJump]]:
     """Flag grid cells whose centered second difference spikes above the noise.
 
     A derivative kink makes the second difference O(h) against an O(h^2)
     smooth background, so a scale-free median threshold separates them
-    cleanly.  Locations are accurate to one grid cell.  A snapshot whose E
-    and B hold one row per moment, shape (rows, m) on its grid x, gives one
+    cleanly.  Locations are accurate to one grid cell.  E and B are rows on
+    the grid x, shape (rows, m), or one row, shape (m,); the result holds one
     list of jumps per row, each row judged against its own background.
     """
     if len(snapshot.x) < MIN_GRID:
@@ -204,10 +201,9 @@ def locate_jumps(snapshot: Snapshot, threshold_factor: float = JUMP_THRESHOLD) -
     dx = np.diff(snapshot.x)
     if not np.allclose(dx, dx[0], rtol=1e-9, atol=0.0):
         raise ValueError("snapshot grid must be uniform")
-    e_rows, b_rows = (_jumps_in(snapshot.x, np.atleast_2d(y), q, threshold_factor)
-                      for y, q in ((snapshot.E, Quantity.DE_DX), (snapshot.B, Quantity.DB_DX)))
-    rows = [e + b for e, b in zip(e_rows, b_rows)]
-    return rows if np.ndim(snapshot.E) == 2 else rows[0]
+    e_rows = _jumps_in(snapshot.x, np.atleast_2d(snapshot.E), Quantity.DE_DX, threshold_factor)
+    b_rows = _jumps_in(snapshot.x, np.atleast_2d(snapshot.B), Quantity.DB_DX, threshold_factor)
+    return [e + b for e, b in zip(e_rows, b_rows)]
 
 
 def identity_suite(mode: ModeSpec, s_samples: Sequence[float]) -> dict[str, float]:

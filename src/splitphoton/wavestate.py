@@ -106,9 +106,8 @@ class Piece(NamedTuple):
 def evaluate(pieces: tuple[Piece, ...], k: float, x: ArrayLike) -> FieldSample:
     """Fields of a piece table at x; zero outside the pieces, last piece closed.
 
-    A stack of tables evaluates in one call: ``Piece`` fields of shape
-    (rows, 1) against x of shape (rows, m) give row i the table of row i.
-    Either way each piece's sinusoid is computed at the points inside it only.
+    ``Piece`` fields of shape (rows, 1) against x of shape (rows, m) give row i
+    the table of row i.  Sinusoids are computed at the points inside a piece only.
     """
     x = np.asarray(x, dtype=float)
     e = np.zeros(x.shape)

@@ -6,6 +6,8 @@ locates the rows of one stacked snapshot.  Each must give, bit for bit, what
 the one-s-at-a-time computation below gives.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 
 from splitphoton import ModeSpec, validation
 from splitphoton.cli import _located_inner_jumps
-from splitphoton.reflection import domains, energy_ledger, reflect_field
+from splitphoton.reflection import (domains, energy_ledger, inner_discontinuity_position,
+                                    reflect_field, reflection_pieces)
 from splitphoton.snapshot import Snapshot, reflection_snapshot
 from splitphoton.validation import QuadratureError, QuadResult, identity_suite, integrate
 
@@ -227,6 +230,16 @@ class TestEnergyLedgerArray:
             energy_ledger(ModeSpec(), np.array([0.0, 0.5, 1.5]))
         with pytest.raises(ValueError):
             energy_ledger(ModeSpec(), np.array([0.5, np.nan]))
+
+    def test_lists_of_s_work_as_arrays(self):
+        mode, s = ModeSpec(n=3), [0.1, 0.5, 0.8]
+        assert np.array_equal(astuple(energy_ledger(mode, s)),
+                              astuple(energy_ledger(mode, np.array(s))))
+        assert np.array_equal(domains(mode.a, s).rw, domains(mode.a, np.array(s)).rw)
+        assert np.array_equal(inner_discontinuity_position(mode.a, s),
+                              inner_discontinuity_position(mode.a, np.array(s)))
+        (rw, sw), (rw0, sw0) = reflection_pieces(mode, s), reflection_pieces(mode, np.array(s))
+        assert all(np.array_equal(u, v) for u, v in zip(rw + sw, rw0 + sw0))
 
 
 def _reference_track(mode, s_values, grid):

@@ -55,7 +55,7 @@ def test_integrate_breakpoints_restore_accuracy():
 def test_locate_jumps_on_reflection_snapshot():
     mode = ModeSpec()
     snap = reflection_snapshot(mode, 0.25, n_points=1024)
-    locations = sorted({round(j.location, 2) for j in locate_jumps(snap)})
+    locations = sorted({round(j.location, 2) for j in locate_jumps(snap)[0]})
     assert -0.75 in locations  # far edge
     assert -0.25 in locations  # inner discontinuity
 
@@ -65,7 +65,7 @@ def test_locate_jumps_smooth_interior_finds_nothing():
     e = np.sin(np.pi * x)
     b = np.cos(np.pi * x)
     snap = Snapshot("t", 0.0, x, e, b, e * e + b * b)
-    assert locate_jumps(snap) == []
+    assert locate_jumps(snap) == [[]]
 
 
 def test_locate_jumps_grid_too_coarse():
@@ -81,9 +81,9 @@ def test_locate_jumps_threshold_robust():
     # so any multiplier in [10, 100] gives identical results
     mode = ModeSpec()
     snap = reflection_snapshot(mode, 0.3, n_points=1024)
-    baseline = [(j.location, j.quantity) for j in locate_jumps(snap, 30.0)]
+    baseline = [(j.location, j.quantity) for j in locate_jumps(snap, 30.0)[0]]
     for factor in (10.0, 50.0, 100.0):
-        assert [(j.location, j.quantity) for j in locate_jumps(snap, factor)] == baseline
+        assert [(j.location, j.quantity) for j in locate_jumps(snap, factor)[0]] == baseline
 
 
 @pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -130,7 +130,7 @@ def test_locate_jumps_matches_brute_force_on_track_grids(n):
     mode = ModeSpec(n=n)
     for s in np.linspace(0.0, mode.a, 52)[1:-1]:
         snap = reflection_snapshot(mode, s, n_points=1024)
-        assert locate_jumps(snap) == _reference_jumps(snap)
+        assert locate_jumps(snap) == [_reference_jumps(snap)]
 
 
 def test_locate_jumps_matches_brute_force_on_adjacent_runs():
@@ -140,6 +140,6 @@ def test_locate_jumps_matches_brute_force_on_adjacent_runs():
     e = np.zeros(200)
     e[[1, 5, 9, 50, 51, 198]] = [1.0, 1.0, 2.0, 1.0, 1.0, 3.0]
     snap = Snapshot("t", 0.0, x, e, -e, 2 * e * e)
-    jumps = locate_jumps(snap)
+    [jumps] = locate_jumps(snap)
     assert [round(j.location * 199) for j in jumps[:5]] == [1, 5, 9, 49, 198]
     assert jumps == _reference_jumps(snap)
