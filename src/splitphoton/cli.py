@@ -22,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -291,12 +292,25 @@ def cmd_check(args) -> int:
     return EXIT_INVARIANT if failures else EXIT_OK
 
 
+def _count(text: str) -> int:
+    """A count option's value, a non-negative integer; argparse names the option
+    in the message of the error this raises."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _add_mode_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--a", type=float, default=1.0, help="cavity/pulse length")
     parser.add_argument("--n", type=int, default=1, help="mode index")
     parser.add_argument("--c", type=float, default=1.0, help="wave speed")
 
 
+@cache  # built once per process, not on every ``main`` call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitphoton",
@@ -308,21 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mode_args(p)
     p.add_argument("--s", type=float, default=None, help="reflection moment in [0, a]")
     p.add_argument("--t", type=float, default=None, help="free-propagation time")
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=_count, default=1024)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.add_argument("--digits17", action="store_true", help="fixed 17-significant-digit output")
     p.set_defaults(func=cmd_snapshot)
 
     p = sub.add_parser("energy", help="energy ledger sweep over s")
     _add_mode_args(p)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_count, default=1000)
     p.add_argument("--out", default=None)
     p.add_argument("--digits17", action="store_true")
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("track", help="inner-discontinuity track: closed form vs locator")
     _add_mode_args(p)
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=_count, default=50)
     p.add_argument("--grid", type=int, default=1024)
     p.add_argument("--out", default=None)
     p.add_argument("--digits17", action="store_true")

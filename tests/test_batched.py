@@ -6,6 +6,7 @@ locates the rows of one stacked snapshot.  Each must give, bit for bit, what
 the one-s-at-a-time computation below gives.
 """
 
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -24,21 +25,29 @@ from test_validation import _reference_jumps
 
 
 def _reference_segment(f, lo, hi, tol, max_depth):
-    """One segment refined on its own: 8 Simpson panels, doubled per level."""
+    """One segment refined on its own: 8 Simpson panels, doubled per level.
+
+    Running sums over the end, odd and even nodes: each level evaluates only
+    its new midpoints, the odd entries of its ``np.linspace`` row, ``ROW_POINTS``
+    at a time, and the old odd nodes join the even ones.
+    """
     n = 8
-    x = np.linspace(lo, hi, n + 1)
-    y = np.asarray(f(x), dtype=float)
+    y = np.asarray(f(np.linspace(lo, hi, n + 1)), dtype=float)
+    ends, odd, even = y[0] + y[-1], y[1:-1:2].sum(), y[2:-1:2].sum()
     evals = n + 1
-    s_prev = (hi - lo) / n / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+    s_prev = (hi - lo) / n / 3.0 * (ends + 4.0 * odd + 2.0 * even)
     value, err = s_prev, np.inf
     if not np.isfinite(s_prev):
         return value, err, evals, False
     for _ in range(max_depth):
         n *= 2
-        x = np.linspace(lo, hi, n + 1)
-        y = np.asarray(f(x), dtype=float)
-        evals += n + 1
-        s = (hi - lo) / n / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+        even += odd
+        x = np.linspace(lo, hi, n + 1)[1::2]
+        odd = 0.0
+        for i in range(0, len(x), validation.ROW_POINTS):
+            odd += np.asarray(f(x[i:i + validation.ROW_POINTS]), dtype=float).sum()
+        evals += len(x)
+        s = (hi - lo) / n / 3.0 * (ends + 4.0 * odd + 2.0 * even)
         err = abs(s - s_prev) / 15.0
         value = s + (s - s_prev) / 15.0
         if err < tol:
@@ -107,6 +116,16 @@ class TestIntegrateRows:
         assert ok == want_ok and _same(got, want)
         assert isinstance(got.evaluations, int)
 
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    def test_column_chunks_match_segment_loop(self, monkeypatch, name):
+        # at 16 points a row's midpoints come in column chunks from level 2 (32 panels) on
+        monkeypatch.setattr(validation, "ROW_POINTS", 16)
+        f = INTEGRANDS[name]
+        for tol in (1e-6, 1e-12):
+            want, want_ok = _reference_integrate(f, -0.7, 1.3, tol, [0.25], max_depth=7)
+            got, ok = _outcome(f, -0.7, 1.3, tol=tol, breakpoints=[0.25], max_depth=7)
+            assert ok == want_ok and _same(got, want)
+
     @pytest.mark.parametrize("name", ["smooth", "kink", "wave"])  # "rough" runs to depth 24
     def test_without_breakpoints_at_default_depth(self, name):
         want, want_ok = _reference_integrate(INTEGRANDS[name], -0.7, 1.3, 1e-11)
@@ -139,17 +158,49 @@ class TestIntegrateRows:
             assert got.est_error[::60].tolist() == [q.est_error for q in expect]
 
     def test_nodes_are_linspace_rows(self):
+        # level 0 sees whole 9-node rows, level l only the odd entries of its rows
         seen = []
 
         def f(x):
             seen.append(x.copy())
-            return x
+            return x ** 4  # no level is exact, and tol -1 is never met
 
         lo, hi = np.array([-3.0, 0.1, -1e-3]), np.array([1e-17, 0.7, 5.0])
-        integrate(f, lo, hi, tol=1.0, max_depth=1)
-        for x in seen:
+        with pytest.raises(QuadratureError):
+            integrate(f, lo, hi, tol=-1.0, max_depth=2)
+        assert [x.shape for x in seen] == [(3, 9), (3, 8), (3, 16)]
+        for level, x in enumerate(seen):
             for row, a, b in zip(x, lo, hi):
-                assert np.array_equal(row, np.linspace(a, b, x.shape[1]))
+                want = np.linspace(a, b, 8 * 2**level + 1)
+                assert np.array_equal(row, want if level == 0 else want[1::2])
+
+    @pytest.mark.parametrize("points", [None, 16, 40])
+    def test_each_node_of_the_last_level_is_seen_once(self, monkeypatch, points):
+        # at 16 or 40 points a call holds one row, in column chunks from level 2 on
+        if points is not None:
+            monkeypatch.setattr(validation, "ROW_POINTS", points)
+        seen = {i: [] for i in range(3)}
+
+        def f(x, row):
+            for xs, i in zip(x, row[:, 0].tolist()):
+                seen[i].append(xs.copy())
+            return x ** 4
+
+        lo, hi = np.array([-3.0, 0.1, -1e-3]), np.array([1e-17, 0.7, 5.0])
+        with pytest.raises(QuadratureError):
+            integrate(f, lo, hi, tol=-1.0, max_depth=4, args=(np.arange(3.0),))
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            assert max(len(xs) for xs in seen[i][1:]) <= validation.ROW_POINTS
+            nodes = np.concatenate(seen[i])
+            assert np.array_equal(np.sort(nodes), np.linspace(a, b, 8 * 2**4 + 1))
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_a_row_stopping_at_level_l_costs_8_times_2_to_the_l_plus_1(self, depth):
+        with pytest.raises(QuadratureError) as exc:
+            integrate(np.exp, 0.0, 1.0, tol=-1.0, max_depth=depth)
+        assert exc.value.best.evaluations == 8 * 2**depth + 1
+        # a cubic is exact from level 0: its first error estimate, at level 1, is 0
+        assert integrate(lambda x: x ** 3, 0.0, 2.0, tol=1e-12).evaluations == 8 * 2 + 1
 
     def test_one_bad_row_ends_alone(self):
         # the node 1/16 first appears on level 1; only the row holding it stops
@@ -161,7 +212,7 @@ class TestIntegrateRows:
         best = exc.value.best
         assert np.isnan(best.value[0])
         assert best.value[1] == integrate(f, 2.0, 3.0, tol=1e-12).value
-        assert best.evaluations == 9 + 17 + integrate(f, 2.0, 3.0, tol=1e-12).evaluations
+        assert best.evaluations == 9 + 8 + integrate(f, 2.0, 3.0, tol=1e-12).evaluations
 
 
 class TestIdentitySuiteRows:
@@ -306,13 +357,26 @@ def test_integrate_rejects_non_finite_limits_and_breakpoints(lo, hi, cuts):
 
 
 def test_integrate_stops_at_a_non_finite_level():
-    # once doubled to depth 24 with 8 * 2**24 + 1 nodes on the last level
+    # once doubled to depth 24, 8 * 2**24 + 1 nodes in all
     with pytest.raises(QuadratureError) as exc:
         integrate(lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0)
     assert exc.value.best.evaluations == 9
     with pytest.raises(QuadratureError) as exc:
         integrate(lambda x: np.where(x == 0.0, np.inf, x), -1.0, 1.0)  # inf at the midpoint
     assert exc.value.best.evaluations == 9
+
+
+def test_integrate_memory_does_not_grow_with_depth():
+    # 8 * 2**18 + 1 nodes in all, at most ROW_POINTS of them a call
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError) as exc:
+            integrate(lambda x: np.abs(np.sin(7 * x)) ** 0.3, -0.7, 1.3, tol=1e-11, max_depth=18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.best.evaluations == 8 * 2**18 + 1
+    assert peak < 8e6
 
 
 @settings(max_examples=30, deadline=None)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from splitphoton import experiments
 from splitphoton import ModeSpec, boundary_check
-from splitphoton.cli import _CSV_CHUNK, _REPR_KERNEL_MIN, _wall_tolerances, _write_csv, main
+from splitphoton.cli import (_CSV_CHUNK, _REPR_KERNEL_MIN, _wall_tolerances, _write_csv,
+                             build_parser, main)
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -414,3 +415,41 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv, flag", [(["energy", "--steps", "-3"], "--steps"),
+                                            (["track", "--steps", "-3"], "--steps"),
+                                            (["snapshot", "--s", "0.2", "--grid", "-1"], "--grid"),
+                                            (["energy", "--steps", "2.5"], "--steps")])
+    def test_negative_count_names_its_option(self, capsys, argv, flag):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"argument {flag}: expected a non-negative integer" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["energy", "--steps", "0"], ["track", "--steps", "0"],
+                                      ["snapshot", "--s", "0.2", "--grid", "0"]])
+    def test_zero_count_writes_the_header_only(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_back_to_back_calls_keep_their_own_arguments(self, tmp_path, capsys):
+        # one parser serves every call: no option value may leak into the next call
+        def lines(argv):
+            out = tmp_path / "out.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            return out.read_text().splitlines()
+
+        assert len(lines(["energy", "--steps", "3"])) == 4
+        assert len(lines(["energy"])) == 1001
+        assert lines(["snapshot", "--s", "0.25", "--grid", "5"])[1].startswith("-1.0,")
+        assert len(lines(["snapshot", "--t", "0.4"])) == 1025  # no --s from the call before
+        assert len(lines(["track", "--steps", "6"])) == 7
+        capsys.readouterr()
+        assert main(["check", "--n", "4"]) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert len(report) == 8 and all(line.startswith("OK") for line in report)
+        assert len(lines(["energy", "--steps", "2", "--digits17"])) == 3
