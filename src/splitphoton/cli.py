@@ -310,7 +310,7 @@ def _add_mode_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c", type=float, default=1.0, help="wave speed")
 
 
-@cache  # built once per process, not on every ``main`` call
+@cache  # built once per process: saves repeated in-process ``main`` calls, not a one-shot CLI run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitphoton",

@@ -27,9 +27,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 MAX_DEPTH = 24
-# a row stops at 32 panels at the earliest: the 8- and 16-panel levels can both
-# alias a wave of n ~ 14-16 half-periods a unit onto the same wrong value
-MIN_LEVEL = 2
 JUMP_THRESHOLD = 30.0
 MIN_GRID = 64
 # points per row block: ``integrate`` levels (a row's new nodes in column chunks
@@ -81,8 +78,8 @@ def _refine(
     ``f(x, *(arg[rows, None] for arg in args))`` on at most ``ROW_POINTS``
     nodes at a time (``row_blocks`` of rows, or column chunks of one row), and
     the partial sums are added up, so no call grows with depth.  A row stops
-    at the first level from ``MIN_LEVEL`` on that meets ``tol``, or
-    unconverged at any level whose estimate is not finite.  Returns each row's value, error estimate,
+    at the first level that meets ``tol``, or unconverged at one whose
+    estimate is not finite.  Returns each row's value, error estimate,
     evaluation count and flag.
     """
     def call(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -119,7 +116,7 @@ def _refine(
     value, err = s_prev.copy(), np.full(len(lo), np.inf)
     converged = np.zeros(len(lo), dtype=bool)
     active = np.flatnonzero(np.isfinite(s_prev))
-    for level in range(1, max_depth + 1):
+    for _ in range(max_depth):
         if not active.size:
             break
         n *= 2
@@ -131,7 +128,7 @@ def _refine(
         # (s - s_prev)/15 both estimates the error and extrapolates.
         err[active] = np.abs(s - s_prev[active]) / 15.0
         value[active] = s + (s - s_prev[active]) / 15.0
-        done = (err[active] < tol) & (level >= MIN_LEVEL)
+        done = err[active] < tol
         converged[active[done]] = True
         s_prev[active] = s
         active = active[~done & np.isfinite(s)]
@@ -164,10 +161,8 @@ def integrate(
     level reuses the previous level's nodes and evaluates only its new
     midpoints, so a segment that stops at level L costs 8 * 2**L + 1
     evaluations, each node once; f sees at most ``ROW_POINTS`` nodes a call.
-    A segment may stop from level ``MIN_LEVEL`` (32 panels) on, since two
-    coarser levels can agree on an aliased wave.  ``QuadratureError`` is
-    raised if any segment misses ``tol`` within ``max_depth`` levels, or
-    stops at a level whose estimate is not finite.
+    ``QuadratureError`` is raised if any segment misses ``tol`` within
+    ``max_depth`` levels, or stops at a level whose estimate is not finite.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     cuts = sorted(float(p) for p in breakpoints)

@@ -27,7 +27,7 @@ from test_validation import _reference_jumps
 def _reference_segment(f, lo, hi, tol, max_depth):
     """One segment refined on its own: 8 Simpson panels, doubled per level.
 
-    It may stop from level ``MIN_LEVEL`` on.  Running sums over the end, odd and even nodes: each level evaluates only
+    Running sums over the end, odd and even nodes: each level evaluates only
     its new midpoints, the odd entries of its ``np.linspace`` row, ``ROW_POINTS``
     at a time, and the old odd nodes join the even ones.
     """
@@ -39,7 +39,7 @@ def _reference_segment(f, lo, hi, tol, max_depth):
     value, err = s_prev, np.inf
     if not np.isfinite(s_prev):
         return value, err, evals, False
-    for level in range(1, max_depth + 1):
+    for _ in range(max_depth):
         n *= 2
         even += odd
         x = np.linspace(lo, hi, n + 1)[1::2]
@@ -50,7 +50,7 @@ def _reference_segment(f, lo, hi, tol, max_depth):
         s = (hi - lo) / n / 3.0 * (ends + 4.0 * odd + 2.0 * even)
         err = abs(s - s_prev) / 15.0
         value = s + (s - s_prev) / 15.0
-        if err < tol and level >= validation.MIN_LEVEL:
+        if err < tol:
             return value, err, evals, True
         if not np.isfinite(s):
             return value, err, evals, False
@@ -199,8 +199,8 @@ class TestIntegrateRows:
         with pytest.raises(QuadratureError) as exc:
             integrate(np.exp, 0.0, 1.0, tol=-1.0, max_depth=depth)
         assert exc.value.best.evaluations == 8 * 2**depth + 1
-        # a cubic is exact from level 0, yet it stops only at level MIN_LEVEL = 2
-        assert integrate(lambda x: x ** 3, 0.0, 2.0, tol=1e-12).evaluations == 8 * 4 + 1
+        # a cubic is exact from level 0: its first error estimate, at level 1, is 0
+        assert integrate(lambda x: x ** 3, 0.0, 2.0, tol=1e-12).evaluations == 8 * 2 + 1
 
     def test_one_bad_row_ends_alone(self):
         # the node 1/16 first appears on level 1; only the row holding it stops
