@@ -38,10 +38,13 @@ EXIT_INVARIANT = 2
 EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as a shell reports it
 # CSV rows per batch: each column of a batch becomes zero-padded text slots in
 # one buffer of ~100 bytes a row, compacted through a nonzero mask made per batch,
-# and the vectorised float writer holds ~350 bytes a value while it runs.  2048
-# rows keep its per-call cost small and the peak RSS of the field-grid benchmark
-# within 1% of 1024-row batches (4096 rows ran ~8% faster but added ~1.5-2%)
-_CSV_CHUNK = 2048
+# and the vectorised float writer holds ~350 bytes a value while it runs.  A float
+# writer call costs ~0.13-0.17 ms on 16 snapshot cells, ~0.35-0.5 ms on 2048 and
+# ~0.55-0.6 ms on 4096 (2-core x86), so much of its cost is fixed: 4096 rows take
+# a 1e5-point snapshot from 196 calls to 100 and its wall time down by ~20%, for
+# ~0.3 MB more peak RSS in the field-grid benchmark; 8192 rows were no faster
+# there and added ~1.7 MB
+_CSV_CHUNK = 4096
 # below this many cells a float column is formatted by one ``%`` over a ``%24r``
 # or ``%24.17g`` template: a vectorised writer's fixed cost of ~0.2-0.25 ms
 # outweighs ``%``'s ~1 us (``%r``) or ~0.55 us (``%.17g``) a cell, as in the

@@ -107,22 +107,21 @@ def evaluate(pieces: tuple[Piece, ...], k: float, x: ArrayLike) -> FieldSample:
     """Fields of a piece table at x; zero outside the pieces, last piece closed.
 
     ``Piece`` fields of shape (rows, 1) against x of shape (rows, m) give row i
-    the table of row i.  Sinusoids are computed at the points inside a piece only.
+    the table of row i.  Sinusoids are computed at the points inside a piece only:
+    each field is built in place by ufuncs that write through ``where=inside``,
+    so no piece gathers or scatters its points and no scratch array is made.
     """
     x = np.asarray(x, dtype=float)
     e = np.zeros(x.shape)
     b = np.zeros(x.shape)
-    kx = k * x
     last = len(pieces) - 1
     for i, p in enumerate(pieces):
         inside = (x >= p.lo) & ((x <= p.hi) if i == last else (x < p.hi))
-        arg = kx[inside]
-        e_amp, e_phase, b_amp, b_phase = (
-            np.ravel(v)[0] if np.size(v) == 1 else np.broadcast_to(v, x.shape)[inside]
-            for v in p[2:]
-        )
-        e[inside] = e_amp * np.sin(arg + e_phase)
-        b[inside] = b_amp * np.sin(arg + b_phase)
+        for field, amp, phase in ((e, p.e_amp, p.e_phase), (b, p.b_amp, p.b_phase)):
+            np.multiply(x, k, out=field, where=inside)
+            np.add(field, phase, out=field, where=inside)
+            np.sin(field, out=field, where=inside)
+            np.multiply(field, amp, out=field, where=inside)
     if e.ndim == 0:
         return FieldSample(float(e), float(b))
     return FieldSample(e, b)

@@ -105,7 +105,8 @@ class TestWriteCsv:
                 assert a.read() == b.read()
 
     @pytest.mark.parametrize("rows", [_REPR_KERNEL_MIN - 1, _REPR_KERNEL_MIN, _REPR_KERNEL_MIN + 1,
-                                      _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1])
+                                      _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1,
+                                      2 * _CSV_CHUNK + 1])
     @pytest.mark.parametrize("digits17", [False, True])
     def test_batch_edges(self, tmp_path, rows, digits17):
         rng = np.random.default_rng(rows)
@@ -212,6 +213,14 @@ class TestTrack:
         assert "nan" not in text and any(row[2] == "" for row in rows)
         assert all((row[2] == "") == (row[3] == "") for row in rows)
 
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="at s = a/2 the inner jump sits on the far edge of "
+                       "the reflected domain, which the far-edge filter drops, so the row's "
+                       "located cell is empty")
+    def test_odd_steps_hold_the_middle_row(self, tmp_path):
+        # --steps 7 puts s = a/2 on the fourth row
+        assert main(["track", "--n", "1", "--steps", "7", "--out", str(tmp_path / "t.csv")]) == 0
 
     def test_grid_too_coarse_exits_one(self, tmp_path, capsys):
         # grid 1 used to divide by zero for the cell width

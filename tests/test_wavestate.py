@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from splitphoton import (
     wavestate,
 )
 from splitphoton.validation import integrate
-from splitphoton.wavestate import cumulative, eigenmode_pieces, split_pieces
+from splitphoton.wavestate import Piece, cumulative, eigenmode_pieces, evaluate, split_pieces
 
 SQRT2 = np.sqrt(2.0)
 
@@ -43,6 +45,68 @@ class TestModeSpec:
     def test_smallest_lengths_with_finite_wavenumber_accepted(self):
         mode = ModeSpec(a=1e-300, n=3)
         assert np.isfinite(mode.k) and np.isfinite(mode.omega) and np.isfinite(mode.amplitude)
+
+
+def _reference_fields(pieces, k, x):
+    """(E, B) at one float x, a piece at a time with ``math.sin``: the last piece
+    that holds x wins, pieces are half-open but the last is closed, else zero."""
+    e = b = 0.0
+    last = len(pieces) - 1
+    for i, p in enumerate(pieces):
+        if p.lo <= x and (x <= p.hi if i == last else x < p.hi):
+            e = p.e_amp * math.sin(k * x + p.e_phase)
+            b = p.b_amp * math.sin(k * x + p.b_phase)
+    return e, b
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def _piece_table(draw, count):
+    """``count`` adjacent pieces; a width of zero makes a zero-width piece."""
+    edges = [draw(st.floats(-3.0, 1.0))]
+    for _ in range(count):
+        edges.append(edges[-1] + draw(st.just(0.0) | st.floats(0.0, 2.0)))
+    value = st.floats(-3.0, 3.0)
+    return tuple(Piece(lo, hi, draw(value), draw(value), draw(value), draw(value))
+                 for lo, hi in zip(edges, edges[1:]))
+
+
+class TestEvaluate:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), count=st.integers(1, 4), rows=st.integers(1, 3),
+           k=st.floats(0.1, 30.0), common=st.lists(st.floats(-6.0, 6.0), max_size=12))
+    def test_matches_pointwise_sine_bit_for_bit(self, data, count, rows, k, common):
+        tables = [data.draw(_piece_table(count)) for _ in range(rows)]
+        # every row also samples its own piece edges, NaN and both infinities
+        x = np.array([common + [p.lo for p in t] + [t[-1].hi, math.nan, -math.inf, math.inf]
+                      for t in tables])
+        expected = np.array([[_reference_fields(t, k, v) for v in row]
+                             for t, row in zip(tables, x.tolist())])
+        for t, row, want in zip(tables, x, expected):
+            e, b = evaluate(t, k, row)
+            assert np.array_equal(_bits(e), _bits(want[:, 0]))
+            assert np.array_equal(_bits(b), _bits(want[:, 1]))
+        # a stack of tables, fields of shape (rows, 1), against x of shape (rows, m)
+        stacked = tuple(Piece(*(np.array([[t[j][f]] for t in tables]) for f in range(6)))
+                        for j in range(count))
+        e, b = evaluate(stacked, k, x)
+        assert np.array_equal(_bits(e), _bits(expected[..., 0]))
+        assert np.array_equal(_bits(b), _bits(expected[..., 1]))
+        for v, want in zip(x[0].tolist(), expected[0]):
+            e, b = evaluate(tables[0], k, v)
+            assert type(e) is float and type(b) is float
+            assert _bits([e, b]).tolist() == _bits(want).tolist()
+
+    def test_zero_width_pieces(self):
+        # a zero-width inner piece holds no point; a zero-width last piece holds its edge
+        pieces = (Piece(0.0, 1.0, 1.0, 0.0, 2.0, 0.5), Piece(1.0, 1.0, 5.0, 0.0, 5.0, 0.0),
+                  Piece(1.0, 2.0, 3.0, 0.25, 4.0, 0.75), Piece(2.0, 2.0, 7.0, 1.0, 9.0, 1.0))
+        e, b = evaluate(pieces, 1.5, np.array([1.0, 2.0]))
+        assert e.tolist() == [3.0 * math.sin(1.5 + 0.25), 7.0 * math.sin(3.0 + 1.0)]
+        assert b.tolist() == [4.0 * math.sin(1.5 + 0.75), 9.0 * math.sin(3.0 + 1.0)]
 
 
 class TestEigenmode:
