@@ -29,7 +29,7 @@ from .reflection import (
     reflect_field,
 )
 from .scenario import ScenarioError, parse_scenario, serialize_scenario
-from .snapshot import Snapshot, eigenmode_snapshot, free_snapshot, reflection_snapshot
+from .snapshot import Snapshot, free_snapshot, reflection_snapshot
 from .validation import LocatedJump, QuadResult, identity_suite, integrate, locate_jumps
 from .wavestate import (
     FieldSample,

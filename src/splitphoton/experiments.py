@@ -5,8 +5,8 @@ A ``Scenario`` puts the source at the origin (pulse initially on
 photon detectors or electron guns with insertion schedules.
 ``crossing_events(scenario)`` is the table every trial samples: each
 ``CrossingEvent`` is one way a trial can end, with its instrument, ``Branch``
-label, time window, exact Born-rule mass, inverse-CDF table of click times or
-scatter positions, and flag.  A detector gets one event per sweep of a
+label, time window, exact Born-rule mass, the pieces it draws click times or
+scatter positions from, and flag.  A detector gets one event per sweep of a
 half-self across it (left, right, leading_pulse or trailing_pulse); a gun
 scenario gets one event of mass 1/2 per side (left, right), instrument-less
 where no gun meets the pulse.  Two outcome models read the table:
@@ -18,9 +18,9 @@ where no gun meets the pulse.  Two outcome models read the table:
 
 Trial ``i`` owns counter block ``i`` of a Philox stream keyed by the seed
 (Salmon et al., SC'11): four uniform doubles, the first picking an event and
-the second a position through the event's inverse-CDF table.  A run over
-trials ``[start, stop)`` advances the counter to ``start``, so trial ``i``
-is a pure function of (seed, i) whatever the chunking or execution order.
+the second a position on the event's pieces by the inverse CDF of E^2 + B^2.
+A run over trials ``[start, stop)`` advances the counter to ``start``, so trial
+``i`` is a pure function of (seed, i) whatever the chunking or execution order.
 """
 
 from __future__ import annotations
@@ -153,14 +153,15 @@ class Scenario:
             raise ValueError("at most one electron gun per side is supported")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CrossingEvent:
     """One way a trial can end, with its exact Born-rule ``mass``: a detector
     sweep over [t_start, t_end], or a gun shot at t_start = t_end (no instrument
     when no gun is on the ``branch`` side, or, flagged "no-overlap", when its
-    shot misses the pulse).  ``table`` (cdf, value) maps a trial's uniform u to
-    ``interp(frac_lo + u (frac_hi - frac_lo), cdf, value)``: an absolute click
-    time, or a gun's scatter x."""
+    shot misses the pulse).  A trial's uniform u picks the x of ``pieces`` below
+    which the fraction ``frac_lo + u (frac_hi - frac_lo)`` of E^2 + B^2 lies; a
+    detector clicks at ``origin + x / c`` (``origin``: the moment the pulse's
+    leading edge crosses it), a gun scatters at ``origin + x``."""
 
     instrument: Optional[Instrument]
     branch: Branch
@@ -170,14 +171,8 @@ class CrossingEvent:
     frac_lo: float = 0.0  # pulse-profile CDF bounds of the portion caught
     frac_hi: float = 1.0
     flag: Optional[str] = None
-    table: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CrossingEvent):
-            return NotImplemented
-        mine, theirs = dict(vars(self)), dict(vars(other))
-        # == on the table's arrays would compare them elementwise
-        return np.array_equal(mine.pop("table"), theirs.pop("table")) and mine == theirs
+    pieces: tuple[Piece, ...] = ()  # the pulse profile, or a gun's pieces at its shot
+    origin: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -244,7 +239,6 @@ class InstrumentStats:
     rate: float
     ci_lo: float
     ci_hi: float
-    click_times: np.ndarray
     expected: float  # exact click probability
     z: float  # signed likelihood-ratio score of the count against ``expected``
 
@@ -273,15 +267,19 @@ class StatsReport:
         return "\n".join(lines)
 
 
-def _table(mode: ModeSpec, pieces: tuple[Piece, ...], offset: float
-           ) -> tuple[np.ndarray, np.ndarray]:
+def _table(mode: ModeSpec, pieces: tuple[Piece, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF table (cdf, x) of E^2 + B^2, exact at nodes that split each
-    piece of nonzero width evenly; positions are shifted by ``offset``."""
+    piece of nonzero width evenly."""
     wide = [p for p in pieces if p.lo < p.hi]
     m = _TABLE_INTERVALS // len(wide)
     nodes = np.concatenate([np.linspace(p.lo, p.hi, m + 1)[:-1] for p in wide] + [[wide[-1].hi]])
     cdf = np.asarray(wavestate.cumulative(pieces, mode.k, nodes))
-    return cdf / cdf[-1], offset + nodes
+    return cdf / cdf[-1], nodes
+
+
+def _place(event: CrossingEvent, c: float, x: np.ndarray) -> np.ndarray:
+    """Points x of the event's pieces as a detector's click times or a gun's scatter x."""
+    return event.origin + (x if event.instrument.kind is InstrumentKind.ELECTRON_GUN else x / c)
 
 
 def crossing_events(scenario: Scenario) -> list[CrossingEvent]:
@@ -299,7 +297,6 @@ def crossing_events(scenario: Scenario) -> list[CrossingEvent]:
     if any(ins.kind is InstrumentKind.ELECTRON_GUN for ins in scenario.instruments):
         return [_gun_event(scenario, side, profile) for side in (Branch.LEFT, Branch.RIGHT)]
     whole = wavestate.cumulative(profile, mode.k, a)
-    cdf, depth = _table(mode, profile, 0.0)  # depth behind the leading edge
 
     def passed(u: float) -> float:
         """Fraction of one pulse profile within distance u of its leading edge."""
@@ -334,7 +331,7 @@ def crossing_events(scenario: Scenario) -> list[CrossingEvent]:
                 removal = math.inf if det.removal_time is None else det.removal_time
                 events.append(CrossingEvent(det, branch, max(det.insertion_time, t0),
                                             min(removal, t0 + a / c), mass, f_lo, f_hi,
-                                            table=(cdf, t0 + depth / c)))
+                                            pieces=profile, origin=t0))
             remaining *= 1.0 - caught
     events.sort(key=lambda ev: (ev.t_start, ev.instrument.id))
     return events
@@ -368,7 +365,7 @@ def _gun_event(scenario: Scenario, side: Branch, profile: tuple[Piece, ...]) -> 
     end = offset + pieces[-1].hi
     if not end - a <= gun.position <= end:
         return CrossingEvent(None, side, shot, shot, 0.5, flag="no-overlap")
-    return CrossingEvent(gun, side, shot, shot, 0.5, table=_table(mode, pieces, offset))
+    return CrossingEvent(gun, side, shot, shot, 0.5, pieces=pieces, origin=offset)
 
 
 def _comparator(scenario: Scenario, events: list[CrossingEvent]) -> list[CrossingEvent]:
@@ -397,11 +394,16 @@ def _sample(scenario: Scenario, events: list[CrossingEvent], start: int, stop: i
              for ev in events] + [(-1, Trials.BRANCHES.index(Branch.NONE), 0)]
     instrument, branch, flag = np.array(codes).T[:, pick]
     click_time, scatter_x = np.full((2, len(pick)), np.nan)
+    tables = {}  # (cdf, x) of each distinct piece table a trial lands on
     for r, ev in enumerate(events):
         hit = pick == r
-        if ev.table is None or not hit.any():
+        if ev.instrument is None or not hit.any():
             continue
-        value = np.interp(ev.frac_lo + u[hit, 1] * (ev.frac_hi - ev.frac_lo), *ev.table)
+        if ev.pieces not in tables:
+            tables[ev.pieces] = _table(scenario.mode, ev.pieces)
+        cdf, x = tables[ev.pieces]
+        value = np.interp(ev.frac_lo + u[hit, 1] * (ev.frac_hi - ev.frac_lo), cdf,
+                          _place(ev, scenario.mode.c, x))
         if ev.instrument.kind is InstrumentKind.ELECTRON_GUN:
             click_time[hit] = ev.t_start
             scatter_x[hit] = value
@@ -448,7 +450,8 @@ def scatter_positions(scenario: Scenario, gun_id: str, n: int, seed: int = 0) ->
     event = next((ev for ev in crossing_events(scenario) if ev.instrument is gun), None)
     if event is None:
         raise ValueError(f"gun {gun_id!r} has no pulse overlap at its shot time")
-    return np.interp(np.random.default_rng(seed).random(n), *event.table)
+    cdf, x = _table(scenario.mode, event.pieces)
+    return np.interp(np.random.default_rng(seed).random(n), cdf, _place(event, scenario.mode.c, x))
 
 
 def _z_score(count: int, n: int, p: float) -> float:
@@ -475,8 +478,7 @@ def aggregate(scenario: Scenario, outcomes: Trials) -> StatsReport:
         rate = count / n
         half = z95 * math.sqrt(max(rate * (1.0 - rate), 0.0) / n)
         per[ins.id] = InstrumentStats(count, rate, max(0.0, rate - half), min(1.0, rate + half),
-                                      outcomes.click_time[outcomes.instrument == k], p,
-                                      _z_score(count, n, p))
+                                      p, _z_score(count, n, p))
     violations = sum(1 for st in per.values() if abs(st.z) > Z_BOUND)
     undetermined = np.count_nonzero(outcomes.flag == Trials.FLAGS.index("model-undetermined"))
     return StatsReport(n, per, int(counts[0]), violations, undetermined)

@@ -112,9 +112,9 @@ def domains(a: float, s: ArrayLike) -> DomainSplit:
 
 
 def inner_discontinuity_position(a: float, s: ArrayLike) -> ArrayLike:
-    """Location of the co-moving inner derivative discontinuities, -min(s, a-s)."""
-    s = np.asarray(s, dtype=float)
-    return -np.minimum(s, a - s)
+    """Location of the co-moving inner derivative discontinuities, -min(s, a-s):
+    the RW/SW border ``domains(a, s).sw[0]``."""
+    return domains(a, s).sw[0]
 
 
 def reflection_pieces(mode: ModeSpec, s: ArrayLike) -> tuple[Piece, Piece]:

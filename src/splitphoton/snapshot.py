@@ -9,7 +9,7 @@ import numpy as np
 from . import reflection, wavestate
 from .wavestate import ModeSpec
 
-__all__ = ["Snapshot", "reflection_snapshot", "free_snapshot", "eigenmode_snapshot"]
+__all__ = ["Snapshot", "reflection_snapshot", "free_snapshot"]
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,4 @@ def free_snapshot(mode: ModeSpec, t: float, n_points: int = 1024) -> Snapshot:
         raise ValueError(f"support [-ct, a + ct] at t = {t!r} has no finite length")
     x = np.linspace(-mode.c * t, mode.a + mode.c * t, n_points)
     e, b = wavestate.split_state(mode, x, t)
-    return _build("t", t, x, e, b)
-
-
-def eigenmode_snapshot(mode: ModeSpec, t: float, n_points: int = 1024) -> Snapshot:
-    """Snapshot of the trapped cavity mode on [0, a]."""
-    x = np.linspace(0.0, mode.a, n_points)
-    e, b = wavestate.eigenmode(mode, x, t)
     return _build("t", t, x, e, b)

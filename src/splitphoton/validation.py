@@ -196,13 +196,12 @@ def integrate(
     return result
 
 
-def _jumps_in(x: np.ndarray, y: np.ndarray, quantity: Quantity,
-              factor: float) -> list[list[LocatedJump]]:
+def _jumps_in(x: np.ndarray, y: np.ndarray, quantity: Quantity) -> list[list[LocatedJump]]:
     """The jumps of each row of y (rows, m) on the grid x, one list per row."""
     d2 = np.abs(y[:, :-2] - 2.0 * y[:, 1:-1] + y[:, 2:])  # centered at x[1:-1]
     core = d2[:, 1:-1]  # boundary cells excluded from the noise estimate
     floor = 1e-12 * np.maximum(np.max(np.abs(y), axis=1), 1.0)
-    threshold = factor * np.maximum(np.median(core, axis=1), floor)
+    threshold = JUMP_THRESHOLD * np.maximum(np.median(core, axis=1), floor)
     row, cell = np.nonzero(d2 > threshold[:, None])  # row-major: runs stay contiguous
     score = d2[row, cell]
     start = np.ones(len(cell), dtype=bool)  # first cell of each maximal run
@@ -217,8 +216,7 @@ def _jumps_in(x: np.ndarray, y: np.ndarray, quantity: Quantity,
     return jumps
 
 
-def locate_jumps(snapshot: Snapshot,
-                 threshold_factor: float = JUMP_THRESHOLD) -> list[list[LocatedJump]]:
+def locate_jumps(snapshot: Snapshot) -> list[list[LocatedJump]]:
     """Flag grid cells whose centered second difference spikes above the noise.
 
     A derivative kink makes the second difference O(h) against an O(h^2)
@@ -232,8 +230,8 @@ def locate_jumps(snapshot: Snapshot,
     dx = np.diff(snapshot.x)
     if not np.allclose(dx, dx[0], rtol=1e-9, atol=0.0):
         raise ValueError("snapshot grid must be uniform")
-    e_rows = _jumps_in(snapshot.x, np.atleast_2d(snapshot.E), Quantity.DE_DX, threshold_factor)
-    b_rows = _jumps_in(snapshot.x, np.atleast_2d(snapshot.B), Quantity.DB_DX, threshold_factor)
+    e_rows = _jumps_in(snapshot.x, np.atleast_2d(snapshot.E), Quantity.DE_DX)
+    b_rows = _jumps_in(snapshot.x, np.atleast_2d(snapshot.B), Quantity.DB_DX)
     return [e + b for e, b in zip(e_rows, b_rows)]
 
 

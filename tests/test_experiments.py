@@ -23,8 +23,9 @@ from splitphoton.experiments import (
     sample_trial,
     scatter_positions,
 )
+from splitphoton.reflection import reflection_pieces
 from splitphoton.validation import integrate
-from splitphoton.wavestate import window
+from splitphoton.wavestate import pulse_pieces, window
 
 MODE = ModeSpec()
 
@@ -141,17 +142,18 @@ class TestCrossingEvents:
         assert (left.mass, right.mass) == (0.5, 0.5)
         assert (left.branch, right.branch) == (Branch.LEFT, Branch.RIGHT)
         assert left.instrument.id == "EGL" and left.t_start == left.t_end == 3.0
-        assert left.flag is None and left.table is not None
-        assert right.instrument is None and right.flag == "no-overlap" and right.table is None
+        assert left.flag is None and left.pieces == pulse_pieces(MODE, 0.0, 1)
+        assert left.origin == -3.5  # the left pulse lies on [-3.5, -2.5] at t = 3
+        assert right.instrument is None and right.flag == "no-overlap" and right.pieces == ()
 
-    def test_equality_compares_tables_by_value(self):
-        sc = _stream_scenarios()["detectors"]
+    @pytest.mark.parametrize("name", ["detectors", "guns"])
+    def test_events_are_plain_values(self, name):
+        sc = _stream_scenarios()[name]
         first, again = crossing_events(sc), crossing_events(sc)
-        assert first == again and first[0].table[1] is not again[0].table[1]
-        assert first[0] != dataclasses.replace(first[0], table=(first[0].table[0],
-                                                                 first[0].table[1] + 1.0))
-        assert first[0] != dataclasses.replace(first[0], table=None)
-        assert "table" not in repr(first[0]) and "array" not in repr(first[0])
+        assert first == again and hash(tuple(first)) == hash(tuple(again))
+        assert len(set(first + again)) == len(first)
+        assert first[0] != dataclasses.replace(first[0], origin=first[0].origin + 1.0)
+        assert "pieces=(Piece(" in repr(first[0]) and "array" not in repr(first[0])
 
     @pytest.mark.parametrize("name", ["detectors", "guns", "preferred"])
     def test_reachable_are_the_instruments_of_the_events(self, name):
@@ -194,6 +196,21 @@ class TestSampling:
         )
         assert run_trials(sc) == run_trials(sc)
         assert sample_trial(sc, 17) == run_trials(sc)[17]
+
+    def test_clicks_lie_in_their_sweep_at_c_2(self):
+        # whole-profile sweeps at c = 2: DR and DL each on the way out and on the way back
+        sc = Scenario(mode=ModeSpec(a=0.7, n=3, c=2.0), mirror_distance=4.0,
+                      instruments=[detector("DR", 2.0, efficiency=0.5), detector("DL", -1.5)],
+                      trials=4000, seed=23)
+        sweeps = {(ev.instrument.id, ev.branch): ev for ev in crossing_events(sc)}
+        assert len(sweeps) == 4 and all(ev.origin == ev.t_start for ev in sweeps.values())
+        trials = run_trials(sc)
+        seen = set()
+        for o in trials:
+            ev = sweeps[o.clicked, o.resolved_branch]
+            assert ev.t_start <= o.click_time <= ev.t_end
+            seen.add(ev)
+        assert len(seen) == 4
 
     def test_preferred_way_always_clicks(self):
         sc = Scenario(
@@ -275,6 +292,19 @@ class TestElectronGuns:
         sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[gun("EG", 4.2, 5.0)])
         xs = scatter_positions(sc, "EG", 5000, seed=7)
         assert xs.min() >= 4.5 - 1e-9 and xs.max() <= 5.0 + 1e-9
+
+    def test_scatter_during_reflection_lies_on_the_pieces(self):
+        # shot at t = 4.75, s = 0.25 into the reflection: pieces on [-0.75, 0] from D
+        sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[gun("EGM", 4.8, 4.75)],
+                      trials=2000, seed=9)
+        (event,) = [ev for ev in crossing_events(sc) if ev.instrument is not None]
+        assert event.origin == 5.0 and event.pieces == reflection_pieces(MODE, 0.25)
+        lo, hi = event.origin + event.pieces[0].lo, event.origin + event.pieces[-1].hi
+        trials = run_trials(sc)
+        xs = trials.scatter_x[trials.instrument == 0]
+        assert len(xs) > 900
+        for sample in (xs, scatter_positions(sc, "EGM", 5000, seed=2)):
+            assert lo <= sample.min() and sample.max() <= hi
 
     def test_scatter_follows_cos_squared_at_half(self):
         from scipy.stats import chisquare
@@ -396,11 +426,10 @@ class TestRateAudit:
         assert report.rate_violations == 0
         assert all(abs(stats.z) <= Z_BOUND for stats in report.per_instrument.values())
 
-    def test_click_times_are_arrays(self):
-        report = run(_stream_scenarios()["detectors"])
-        times = report.per_instrument["DL"].click_times
-        assert isinstance(times, np.ndarray) and times.dtype == float
-        assert len(times) == report.per_instrument["DL"].count
+    @pytest.mark.parametrize("name", ["detectors", "guns"])
+    def test_reports_are_plain_values(self, name):
+        sc = _stream_scenarios()[name]
+        assert run(sc) == run(sc)
 
     def test_certain_rates_must_be_exact(self):
         # far-left detector: p = 1, so one missed click is a violation

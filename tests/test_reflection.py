@@ -227,6 +227,11 @@ class TestDiscontinuities:
         assert inner_discontinuity_position(1.0, 0.01) == -0.01
         assert inner_discontinuity_position(1.0, 0.99) == pytest.approx(-0.01)
 
+    @pytest.mark.parametrize("s", [np.nan, -0.1, 1.1, np.inf, [0.5, np.nan]])
+    def test_inner_location_rejects_s_outside_the_process(self, s):
+        with pytest.raises(ValueError, match=r"s must lie in \[0, 1.0\]"):
+            inner_discontinuity_position(1.0, s)
+
     def test_inner_jump_magnitudes(self):
         # one-sided slope difference is exactly k for either field
         records = discontinuities(MODE, 0.25)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from splitphoton import ModeSpec
+from splitphoton import ModeSpec, validation
 from splitphoton.reflection import Quantity
 from splitphoton.snapshot import reflection_snapshot
 from splitphoton.validation import (
@@ -76,14 +76,18 @@ def test_locate_jumps_grid_too_coarse():
         locate_jumps(snap)
 
 
-def test_locate_jumps_threshold_robust():
+def test_locate_jumps_threshold_robust(monkeypatch):
     # the separation between kink and smooth cells spans orders of magnitude,
     # so any multiplier in [10, 100] gives identical results
     mode = ModeSpec()
     snap = reflection_snapshot(mode, 0.3, n_points=1024)
-    baseline = [(j.location, j.quantity) for j in locate_jumps(snap, 30.0)[0]]
+    assert JUMP_THRESHOLD == 30.0
+    baseline = [(j.location, j.quantity) for j in locate_jumps(snap)[0]]
     for factor in (10.0, 50.0, 100.0):
-        assert [(j.location, j.quantity) for j in locate_jumps(snap, factor)[0]] == baseline
+        monkeypatch.setattr(validation, "JUMP_THRESHOLD", factor)
+        assert [(j.location, j.quantity) for j in locate_jumps(snap)[0]] == baseline
+    monkeypatch.setattr(validation, "JUMP_THRESHOLD", 1e30)  # the locator reads it
+    assert locate_jumps(snap) == [[]]
 
 
 @pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 0.75, 1.0])
