@@ -12,11 +12,9 @@ from .experiments import (
     OutcomeModel,
     Scenario,
     StatsReport,
-    TrialOutcome,
     Trials,
     crossing_events,
     run,
-    sample_trial,
 )
 from .reflection import (
     DiscontinuityRecord,

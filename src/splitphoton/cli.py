@@ -173,13 +173,16 @@ def _located_inner_jumps(mode: ModeSpec, s_values: np.ndarray, grid: int) -> np.
     """The located inner jump at each s, NaN where none was found; the rows of
     each ``validation.row_blocks`` slice share one snapshot and one locator call."""
     cell = mode.a / (grid - 1)
-    far_edge = reflection.domains(mode.a, s_values).rw[0]
+    dom = reflection.domains(mode.a, s_values)
+    far_edge = dom.rw[0]
+    # near s = a/2 the inner jump sits on the far edge: keep that edge's candidates
+    keep_far = np.abs(dom.sw[0] - far_edge) <= 1.5 * cell
     located = np.full(len(s_values), np.nan)
     for block in validation.row_blocks(len(s_values), grid):
         snap = reflection_snapshot(mode, s_values[block], n_points=grid)
         for i, jumps in enumerate(validation.locate_jumps(snap), start=block.start):
             candidates = [j for j in jumps
-                          if abs(j.location - far_edge[i]) > 1.5 * cell
+                          if (keep_far[i] or abs(j.location - far_edge[i]) > 1.5 * cell)
                           and abs(j.location) > 1.5 * cell]
             if candidates:
                 located[i] = max(candidates, key=lambda j: j.score).location

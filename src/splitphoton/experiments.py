@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -44,12 +43,10 @@ __all__ = [
     "Instrument",
     "Scenario",
     "CrossingEvent",
-    "TrialOutcome",
     "Trials",
     "InstrumentStats",
     "StatsReport",
     "crossing_events",
-    "sample_trial",
     "reachable",
     "scatter_positions",
     "run",
@@ -59,7 +56,13 @@ __all__ = [
 ]
 
 _MASS_EPS = 1e-15
-_TABLE_INTERVALS = 4096  # inverse-CDF table resolution over one pulse length
+# Inverse-CDF table resolution, shared evenly by the wide pieces.  Interpolating
+# between nodes h apart errs in u by up to h^2/8 times the density's steepest
+# slope, 2k/a per unit mass on a running pulse: the pulse profile (h = a/4096)
+# has sup |F(x(u)) - u| = pi n / (4 * 4096^2) ~ 4.68e-8 n, linear in n.  A gun's
+# reflection pieces split the intervals between RW and SW: up to 4x that as s
+# nears 0 or a.
+_TABLE_INTERVALS = 4096
 _BLOCK = 4  # uniform doubles per trial: one Philox counter block
 Z_BOUND = 6.0  # |z| past which a count contradicts its rate: P < 2 exp(-18) ~ 3e-8
 
@@ -175,22 +178,13 @@ class CrossingEvent:
     origin: float = 0.0
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    clicked: Optional[str] = None
-    click_time: Optional[float] = None
-    scatter_position: Optional[float] = None
-    resolved_branch: Branch = Branch.NONE
-    flag: Optional[str] = None
-
-
 @dataclass(frozen=True, eq=False)
-class Trials(Sequence[TrialOutcome]):
-    """Outcomes of consecutive trials as read-only columns, and as a read-only
-    sequence of ``TrialOutcome``: ``instrument`` indexes ``ids`` (-1: no click),
-    ``click_time`` and ``scatter_x`` are NaN where missing, ``branch`` indexes
-    ``BRANCHES`` and ``flag`` ``FLAGS``; ``expected`` is each instrument's exact
-    click probability."""
+class Trials:
+    """Outcomes of consecutive trials as read-only columns: ``instrument``
+    indexes ``ids`` (-1: no click), ``click_time`` and ``scatter_x`` are NaN
+    where missing, ``branch`` indexes ``BRANCHES`` and ``flag`` ``FLAGS``;
+    ``expected`` is each instrument's exact click probability.  A slice is the
+    ``Trials`` of those trials; one trial is a slice of length one."""
 
     BRANCHES = tuple(Branch)
     FLAGS = (None, "model-undetermined", "no-overlap")
@@ -211,19 +205,12 @@ class Trials(Sequence[TrialOutcome]):
     def __len__(self) -> int:
         return len(self.instrument)
 
-    def _outcome(self, k: int, t: float, x: float, b: int, f: int) -> TrialOutcome:
-        return TrialOutcome(None if k < 0 else self.ids[k], None if math.isnan(t) else t,
-                            None if math.isnan(x) else x, self.BRANCHES[b], self.FLAGS[f])
-
-    def __getitem__(self, index: Union[int, slice]):
-        if isinstance(index, slice):
-            return dataclasses.replace(
-                self, **{name: getattr(self, name)[index] for name in self.COLUMNS})
-        i = range(len(self))[index]
-        return self._outcome(*(getattr(self, name)[i].item() for name in self.COLUMNS))
-
-    def __iter__(self):
-        return map(self._outcome, *(getattr(self, name).tolist() for name in self.COLUMNS))
+    def __getitem__(self, index: slice) -> Trials:
+        if not isinstance(index, slice):
+            raise TypeError(f"Trials takes slices, not {type(index).__name__}: "
+                            "trial i is trials[i:i + 1]")
+        return dataclasses.replace(
+            self, **{name: getattr(self, name)[index] for name in self.COLUMNS})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trials):
@@ -424,11 +411,6 @@ def run_trials(scenario: Scenario, start: int = 0, stop: Optional[int] = None) -
     if scenario.model is OutcomeModel.PREFERRED_WAY:
         events = _comparator(scenario, events)
     return _sample(scenario, events, start, stop)
-
-
-def sample_trial(scenario: Scenario, trial_index: int) -> TrialOutcome:
-    """One trial; deterministic given (scenario, seed, trial_index)."""
-    return run_trials(scenario, trial_index, trial_index + 1)[0]
 
 
 def reachable(scenario: Scenario) -> list[Instrument]:

@@ -14,10 +14,9 @@ __all__ = ["Snapshot", "reflection_snapshot", "free_snapshot"]
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Sampled (x, E, B, rho) arrays at a fixed time parameter."""
+    """Sampled (x, E, B, rho) arrays at one moment, or one row of E, B and rho
+    per moment over a shared x."""
 
-    param_name: str  # "t" or "s"
-    param: float | np.ndarray  # an array holds one s per row of E, B and rho
     x: np.ndarray
     E: np.ndarray
     B: np.ndarray
@@ -29,18 +28,13 @@ class Snapshot:
             raise ValueError("snapshot arrays must have equal length")
 
 
-def _build(param_name: str, param: float | np.ndarray, x: np.ndarray, e: np.ndarray,
-           b: np.ndarray) -> Snapshot:
-    return Snapshot(param_name=param_name, param=param, x=x, E=e, B=b, rho=e * e + b * b)
-
-
 def reflection_snapshot(mode: ModeSpec, s: float | np.ndarray, n_points: int = 1024) -> Snapshot:
     """Snapshot of the reflecting pulse on [-a, 0]; for an array of s, E, B and
     rho hold a row per s, all from one ``reflect_field`` call."""
     x = np.linspace(-mode.a, 0.0, n_points)
     column = np.asarray(s, dtype=float)[..., None]
     e, b = reflection.reflect_field(mode, column, np.broadcast_to(x, column.shape[:-1] + x.shape))
-    return _build("s", s, x, e, b)
+    return Snapshot(x, e, b, e * e + b * b)
 
 
 def free_snapshot(mode: ModeSpec, t: float, n_points: int = 1024) -> Snapshot:
@@ -49,4 +43,4 @@ def free_snapshot(mode: ModeSpec, t: float, n_points: int = 1024) -> Snapshot:
         raise ValueError(f"support [-ct, a + ct] at t = {t!r} has no finite length")
     x = np.linspace(-mode.c * t, mode.a + mode.c * t, n_points)
     e, b = wavestate.split_state(mode, x, t)
-    return _build("t", t, x, e, b)
+    return Snapshot(x, e, b, e * e + b * b)

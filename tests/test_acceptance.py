@@ -18,6 +18,7 @@ from splitphoton.experiments import (
     InstrumentKind,
     OutcomeModel,
     Scenario,
+    Trials,
     run,
     run_trials,
     scatter_positions,
@@ -280,8 +281,8 @@ class TestCriterion7MonteCarlo:
         stats = report.per_instrument["D1"]
         assert stats.rate == 1.0  # both half-selves eventually sweep it
         outcomes = run_trials(sc)
-        lead = [o.click_time for o in outcomes if o.resolved_branch is Branch.LEADING_PULSE]
-        trail = [o.click_time for o in outcomes if o.resolved_branch is Branch.TRAILING_PULSE]
+        lead = outcomes.click_time[outcomes.branch == Trials.BRANCHES.index(Branch.LEADING_PULSE)]
+        trail = outcomes.click_time[outcomes.branch == Trials.BRANCHES.index(Branch.TRAILING_PULSE)]
         frac = len(lead) / N_TRIALS
         assert abs(frac - 0.5) < THREE_SIGMA
         assert max(lead) < min(trail)  # disjoint clusters

@@ -298,9 +298,11 @@ def _reference_track(mode, s_values, grid):
     cell = mode.a / (grid - 1)
     located = []
     for s in s_values:
-        far_edge = domains(mode.a, s).rw[0]
+        dom = domains(mode.a, s)
+        keep_far = abs(dom.sw[0] - dom.rw[0]) <= 1.5 * cell
         candidates = [j for j in _reference_jumps(reflection_snapshot(mode, s, n_points=grid))
-                      if abs(j.location - far_edge) > 1.5 * cell and abs(j.location) > 1.5 * cell]
+                      if (keep_far or abs(j.location - dom.rw[0]) > 1.5 * cell)
+                      and abs(j.location) > 1.5 * cell]
         located.append(max(candidates, key=lambda j: j.score).location if candidates else np.nan)
     return np.array(located)
 
@@ -330,10 +332,10 @@ class TestTrackRows:
         y = np.zeros((2, 200))
         y[0, [5, 11]] = 1e-3
         y[1, [14, 120]] = [1e12, 2e12]
-        snap = Snapshot("s", np.zeros(2), x, y, -y, 2 * y * y)
+        snap = Snapshot(x, y, -y, 2 * y * y)
         rows = validation.locate_jumps(snap)
         for i in range(2):
-            one = Snapshot("s", 0.0, x, y[i], -y[i], 2 * y[i] * y[i])
+            one = Snapshot(x, y[i], -y[i], 2 * y[i] * y[i])
             assert rows[i] == _reference_jumps(one) and rows[i]
 
     def test_stacked_snapshot_rows_match_one_s_snapshots(self):

@@ -216,13 +216,14 @@ class TestTrack:
         assert all((row[2] == "") == (row[3] == "") for row in rows)
 
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="at s = a/2 the inner jump sits on the far edge of "
-                       "the reflected domain, which the far-edge filter drops, so the row's "
-                       "located cell is empty")
-    def test_odd_steps_hold_the_middle_row(self, tmp_path):
-        # --steps 7 puts s = a/2 on the fourth row
-        assert main(["track", "--n", "1", "--steps", "7", "--out", str(tmp_path / "t.csv")]) == 0
+    @pytest.mark.parametrize("n", ["1", "2", "8"])
+    @pytest.mark.parametrize("steps", ["7", "9"])
+    def test_odd_steps_locate_the_middle_row(self, tmp_path, steps, n):
+        # an odd --steps puts s = a/2, where the inner jump meets the far edge, on the middle row
+        out = tmp_path / "t.csv"
+        assert main(["track", "--n", n, "--steps", steps, "--out", str(out)]) == 0
+        middle = out.read_text().splitlines()[1 + int(steps) // 2].split(",")
+        assert float(middle[0]) == 0.5 and middle[2] != ""
 
     def test_grid_too_coarse_exits_one(self, tmp_path, capsys):
         # grid 1 used to divide by zero for the cell width

@@ -13,19 +13,18 @@ from splitphoton.experiments import (
     InstrumentKind,
     OutcomeModel,
     Scenario,
-    TrialOutcome,
     Trials,
+    _table,
     aggregate,
     crossing_events,
     reachable,
     run,
     run_trials,
-    sample_trial,
     scatter_positions,
 )
 from splitphoton.reflection import reflection_pieces
 from splitphoton.validation import integrate
-from splitphoton.wavestate import pulse_pieces, window
+from splitphoton.wavestate import cumulative, pulse_pieces, window
 
 MODE = ModeSpec()
 
@@ -173,7 +172,7 @@ class TestSampling:
             seed=11,
         )
         outcomes = run_trials(sc)
-        assert all(o.clicked in ("DR", "DL") for o in outcomes)
+        assert outcomes.ids == ("DR", "DL") and np.all(outcomes.instrument >= 0)
         report = aggregate(sc, outcomes)
         assert report.none_count == 0
         assert report.rate_violations == 0
@@ -184,9 +183,8 @@ class TestSampling:
             mode=MODE, mirror_distance=5.0, instruments=[detector("D1", 3.0, insertion=2.9)],
             trials=500, seed=3,
         )
-        for o in run_trials(sc):
-            if o.clicked:
-                assert o.click_time >= 2.9 - 1e-6
+        trials = run_trials(sc)
+        assert np.all(trials.click_time[trials.instrument >= 0] >= 2.9 - 1e-6)
 
     def test_determinism(self):
         sc = Scenario(
@@ -195,7 +193,7 @@ class TestSampling:
             trials=300, seed=99,
         )
         assert run_trials(sc) == run_trials(sc)
-        assert sample_trial(sc, 17) == run_trials(sc)[17]
+        assert run_trials(sc, 17, 18) == run_trials(sc)[17:18]
 
     def test_clicks_lie_in_their_sweep_at_c_2(self):
         # whole-profile sweeps at c = 2: DR and DL each on the way out and on the way back
@@ -205,12 +203,14 @@ class TestSampling:
         sweeps = {(ev.instrument.id, ev.branch): ev for ev in crossing_events(sc)}
         assert len(sweeps) == 4 and all(ev.origin == ev.t_start for ev in sweeps.values())
         trials = run_trials(sc)
-        seen = set()
-        for o in trials:
-            ev = sweeps[o.clicked, o.resolved_branch]
-            assert ev.t_start <= o.click_time <= ev.t_end
-            seen.add(ev)
-        assert len(seen) == 4
+        landed = np.zeros(len(trials), dtype=bool)
+        for (name, branch), ev in sweeps.items():
+            hit = ((trials.instrument == trials.ids.index(name))
+                   & (trials.branch == Trials.BRANCHES.index(branch)))
+            times = trials.click_time[hit]
+            assert hit.any() and np.all((ev.t_start <= times) & (times <= ev.t_end))
+            landed |= hit
+        assert landed.all()
 
     def test_preferred_way_always_clicks(self):
         sc = Scenario(
@@ -240,7 +240,8 @@ class TestSampling:
             mode=MODE, mirror_distance=5.0, instruments=[detector("D1", -8.0)],
             trials=800, seed=21,
         )
-        branches = {o.resolved_branch for o in run_trials(sc) if o.clicked}
+        trials = run_trials(sc)
+        branches = {Trials.BRANCHES[b] for b in trials.branch[trials.instrument >= 0]}
         assert branches == {Branch.LEADING_PULSE, Branch.TRAILING_PULSE}
 
     def test_unreachable_detector_never_clicks(self):
@@ -248,7 +249,7 @@ class TestSampling:
             mode=MODE, mirror_distance=5.0, instruments=[detector("D1", 3.0, insertion=8.0)],
             trials=1000, seed=2,
         )
-        assert all(o.clicked is None for o in run_trials(sc))
+        assert np.all(run_trials(sc).instrument == -1)
 
     def test_marginal_rate_converges(self):
         sc = Scenario(mode=MODE, instruments=[detector("D1", 3.0)], trials=40000, seed=13)
@@ -272,15 +273,17 @@ class TestElectronGuns:
             trials=5000, seed=41,
         )
         outcomes = run_trials(sc)
-        assert all(o.clicked in ("EGL", "EGR") for o in outcomes)
-        sides = {o.clicked: o.resolved_branch for o in outcomes}
-        assert sides["EGL"] is Branch.LEFT and sides["EGR"] is Branch.RIGHT
+        assert outcomes.ids == ("EGL", "EGR") and np.all(outcomes.instrument >= 0)
+        sides = {(outcomes.ids[k], Trials.BRANCHES[b])
+                 for k, b in zip(outcomes.instrument, outcomes.branch)}
+        assert sides == {("EGL", Branch.LEFT), ("EGR", Branch.RIGHT)}
 
     def test_shot_outside_window_flagged(self):
         sc = Scenario(mode=MODE, instruments=[gun("EG", -3.0, 9.0)], trials=200, seed=1)
         outcomes = run_trials(sc)
-        left = [o for o in outcomes if o.resolved_branch is Branch.LEFT]
-        assert left and all(o.flag == "no-overlap" and o.clicked is None for o in left)
+        left = outcomes.branch == Trials.BRANCHES.index(Branch.LEFT)
+        assert left.any() and np.all(outcomes.flag[left] == Trials.FLAGS.index("no-overlap"))
+        assert np.all(outcomes.instrument[left] == -1)
 
     @pytest.mark.parametrize("gun_id", ["D1", "nope"])
     def test_scatter_positions_needs_a_gun(self, gun_id):
@@ -327,8 +330,9 @@ class TestElectronGuns:
         free = Scenario(mode=MODE, instruments=[shot], trials=200, seed=1)
         outcomes = run_trials(mirrored)
         assert outcomes == run_trials(free)
-        right = [o for o in outcomes if o.resolved_branch is Branch.RIGHT]
-        assert right and all(o.flag == "no-overlap" and o.clicked is None for o in right)
+        right = outcomes.branch == Trials.BRANCHES.index(Branch.RIGHT)
+        assert right.any() and np.all(outcomes.flag[right] == Trials.FLAGS.index("no-overlap"))
+        assert np.all(outcomes.instrument[right] == -1)
         assert reachable(mirrored) == []
         with pytest.raises(ValueError, match="no pulse overlap"):
             scatter_positions(mirrored, "EG", 10)
@@ -337,6 +341,19 @@ class TestElectronGuns:
         sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[gun("EG", 3.2, 3.0)])
         xs = scatter_positions(sc, "EG", 2000, seed=5)
         assert xs.min() >= 2.5 and xs.max() <= 3.5
+
+
+class TestSamplerTable:
+    @pytest.mark.parametrize("n", [1, 16, 200])
+    @pytest.mark.parametrize("s, bound", [(None, 5e-8), (0.25, 5e-8), (1e-6, 2e-7)])
+    def test_inverse_cdf_error_linear_in_n(self, n, s, bound):
+        # s None: the pulse profile; else a gun's reflection pieces at moment s
+        mode = ModeSpec(n=n)
+        pieces = pulse_pieces(mode, 0.0, 1) if s is None else reflection_pieces(mode, s)
+        cdf, x = _table(mode, pieces)
+        u = np.linspace(0.0, 1.0, 200_001)
+        mass = cumulative(pieces, mode.k, np.interp(u, cdf, x)) / cumulative(pieces, mode.k, x[-1])
+        assert np.abs(mass - u).max() <= bound * n
 
 
 def _stream_scenarios():
@@ -368,11 +385,11 @@ class TestCounterStream:
             assert run_trials(sc, lo, hi) == full[lo:hi]
 
     @pytest.mark.parametrize("name", ["detectors", "guns", "preferred"])
-    def test_sample_trial_at_block_boundaries(self, name):
+    def test_single_trial_at_block_boundaries(self, name):
         sc = _stream_scenarios()[name]
         full = run_trials(sc)
         for i in (0, 1, sc.trials - 1):
-            assert sample_trial(sc, i) == full[i]
+            assert run_trials(sc, i, i + 1) == full[i:i + 1]
 
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(["detectors", "guns", "preferred"]),
@@ -381,7 +398,7 @@ class TestCounterStream:
     def test_trial_independent_of_range(self, name, seed, i, before, after):
         sc = dataclasses.replace(_stream_scenarios()[name], seed=seed)
         lo = max(0, i - before)
-        assert run_trials(sc, lo, i + after)[i - lo] == sample_trial(sc, i)
+        assert run_trials(sc, lo, i + after)[i - lo:i - lo + 1] == run_trials(sc, i, i + 1)
 
     def test_bad_range_rejected(self):
         sc = _stream_scenarios()["detectors"]
@@ -391,26 +408,30 @@ class TestCounterStream:
 
 
 class TestTrialsSequence:
-    def test_sequence_protocol(self):
+    def test_slices(self):
+        sc = _stream_scenarios()["guns"]
+        trials = run_trials(sc)
+        assert len(trials) == 1100
+        assert isinstance(trials[10:20], Trials) and trials[10:20] == run_trials(sc, 10, 20)
+        assert trials[-1:] == run_trials(sc, 1099, 1100) and trials[5:6] == run_trials(sc, 5, 6)
+        assert len(trials[1100:]) == 0
+
+    def test_integer_index_names_slicing(self):
         trials = run_trials(_stream_scenarios()["guns"])
-        outcomes = list(trials)
-        assert len(outcomes) == len(trials) == 1100
-        assert all(isinstance(o, TrialOutcome) for o in outcomes)
-        assert outcomes[-1] == trials[-1] and outcomes[5] == trials[5]
-        assert isinstance(trials[10:20], Trials) and list(trials[10:20]) == outcomes[10:20]
-        with pytest.raises(IndexError):
-            trials[1100]
+        for index in (0, -1, 1100, np.int64(5)):
+            with pytest.raises(TypeError, match=r"trials\[i:i \+ 1\]"):
+                trials[index]
+        with pytest.raises(TypeError, match="slices"):
+            list(trials)
 
     def test_columns_read_only(self):
         trials = run_trials(_stream_scenarios()["detectors"])
         with pytest.raises(ValueError):
             trials.click_time[0] = 0.0
 
-    def test_columns_match_outcomes(self):
+    def test_scatter_x_missing_exactly_without_click(self):
         trials = run_trials(_stream_scenarios()["guns"])
-        for k, o in zip(trials.instrument, trials):
-            assert o.clicked == (None if k < 0 else trials.ids[k])
-            assert (o.scatter_position is None) == (o.clicked is None)
+        assert np.array_equal(np.isnan(trials.scatter_x), trials.instrument < 0)
 
 
 class TestRateAudit:

@@ -64,14 +64,14 @@ def test_locate_jumps_smooth_interior_finds_nothing():
     x = np.linspace(0.1, 0.9, 512)
     e = np.sin(np.pi * x)
     b = np.cos(np.pi * x)
-    snap = Snapshot("t", 0.0, x, e, b, e * e + b * b)
+    snap = Snapshot(x, e, b, e * e + b * b)
     assert locate_jumps(snap) == [[]]
 
 
 def test_locate_jumps_grid_too_coarse():
     x = np.linspace(0.0, 1.0, 32)
     y = np.sin(x)
-    snap = Snapshot("t", 0.0, x, y, y, 2 * y * y)
+    snap = Snapshot(x, y, y, 2 * y * y)
     with pytest.raises(ValueError, match="coarse"):
         locate_jumps(snap)
 
@@ -143,7 +143,7 @@ def test_locate_jumps_matches_brute_force_on_adjacent_runs():
     x = np.linspace(0.0, 1.0, 200)
     e = np.zeros(200)
     e[[1, 5, 9, 50, 51, 198]] = [1.0, 1.0, 2.0, 1.0, 1.0, 3.0]
-    snap = Snapshot("t", 0.0, x, e, -e, 2 * e * e)
+    snap = Snapshot(x, e, -e, 2 * e * e)
     [jumps] = locate_jumps(snap)
     assert [round(j.location * 199) for j in jumps[:5]] == [1, 5, 9, 49, 198]
     assert jumps == _reference_jumps(snap)
