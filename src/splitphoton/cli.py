@@ -46,12 +46,12 @@ EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as a shell reports it
 # there and added ~1.7 MB
 _CSV_CHUNK = 4096
 # below this many cells a float column is formatted by one ``%`` over a ``%24r``
-# or ``%24.17g`` template: a vectorised writer's fixed cost of ~0.2-0.25 ms
-# outweighs ``%``'s ~1 us (``%r``) or ~0.55 us (``%.17g``) a cell, as in the
-# 50-row ``track`` tables.  On a 2-core x86 host the crossover is near 350-400
-# cells for ``repr_slots`` and 400-550 for ``g17_slots``; one threshold serves
-# both, costing ``g17_slots`` at most ~0.06 ms on a batch just above it
-_REPR_KERNEL_MIN = 400
+# or ``%24.17g`` template: a vectorised writer's fixed cost of ~0.12-0.17 ms
+# outweighs ``%``'s ~0.7 us (``%r``) or ~0.5 us (``%.17g``) a cell, as in the
+# 50-row ``track`` tables.  On a 2-core x86 host the crossover is near 260-320
+# cells for ``repr_slots`` and 320-440 for ``g17_slots``; one threshold serves
+# both, costing either at most ~0.04 ms on a batch beside it
+_REPR_KERNEL_MIN = 320
 
 
 def _open_out(path: Optional[str]):

@@ -5,22 +5,30 @@ slots, zeros left of it, byte for byte what Python writes for each value (NaN
 is an empty cell): ``repr_slots`` as ``repr``, ``g17_slots`` as ``'%.17g' %``,
 ``int_slots`` as ``'%d' %``; no text holds a zero byte.  The float writers
 find digits with their own kernels, run on the cells they lay out only, and
-lay them out through ``_render``, whose one parameter between them is the
-form rule.
+lay them out through ``_render``, which each calls with its kernel, the top
+of its positional range and its form rule.
 
-``repr``'s digits come from a numpy port of Schubfach (R. Giulietti, "The
-Schubfach way to render doubles", 2020; the algorithm of the JDK's
-``Double.toString`` since JDK 19): for every normal double it finds the
-shortest decimal that rounds back to it, the closest to it among those, the
-one with an even last digit on a tie, which is the decimal ``repr`` writes.
-It needs only 64-bit integer arithmetic and a 617-entry table of 126-bit
-powers of ten.
+Both float kernels start from one exact product.  A double is c * 2**q with
+an integer c, so v * 10**m = c * 5**m * 2**(q + m): with c at the top of a
+64-bit word it is a 111-bit product shifted right, and ``_scaled`` returns
+its floor and the dropped fraction as a 64-bit word.  The only table is the
+21 powers of five, m <= 20.
 
-``%.17g``'s digits need no search.  A double is c * 2**e with an integer c,
-and in positional form its decimal exponent X lies in [-4, 16], so its 17
-digits are c * 5**m * 2**(e + m), m = 16 - X <= 20, rounded half to even.
-``g17_digits`` forms c * 5**m exactly as a 128-bit product and shifts it
-right with that rounding; the only table is the 21 powers of five.
+``repr``'s digits: for 1e-4 <= |v| < 1e16 (the cells ``repr`` writes in
+positional form) ``shortest_digits`` takes m so that the rounding interval
+of V = v * 10**m holds a whole number and is about 1 to 10 wide, as
+Schubfach does (R. Giulietti, "The Schubfach way to render doubles", 2020;
+the JDK's ``Double.toString`` since JDK 19).  The half-gap to the
+neighbouring doubles scaled the same way is 5**m / 2**t, shifts only.  With
+V and the interval's ends exact, the choice is Schubfach's: the multiple of
+ten in the interval if there is one, else the nearer of floor(V) and
+floor(V) + 1 that lies in it, the even one on a tie.  That is the shortest
+decimal that rounds back to v, the closest to it among those, and the one
+with an even last digit on a tie: the decimal ``repr`` writes.
+
+``%.17g``'s digits need no search: in positional form the decimal exponent
+X lies in [-4, 16], so its 17 digits are the product at m = 16 - X, rounded
+half to even.
 
 Every kernel operand is an explicit ``np.uint64``: under numpy 1.x a
 ``uint64`` mixed with an ``int64`` promotes to ``float64``.
@@ -28,14 +36,17 @@ Every kernel operand is an explicit ``np.uint64``: under numpy 1.x a
 The forms: ``repr`` is positional while the decimal point sits after digit
 -3 to 16, with ``.0`` on whole numbers; ``%.17g`` while it sits after digit
 -3 to 17, with trailing zeros and a bare point dropped (``1``, ``0``,
-``-0``).  Cells in exponent form, subnormals and infinities are rare in the
-tables this package writes; they are rendered by ``repr`` or ``%`` one at a
-time.
+``-0``).  A writer takes one of three paths per batch.  A batch of
+positional cells only goes to the digit kernel and the layout as it is.  A
+batch of zeros and NaNs only gets constant slots and makes no kernel call.
+Any other batch has its positional cells gathered out for the kernels, its
+zeros given constant slots, and its other cells (exponent form, subnormals,
+infinities), rare in the tables this package writes, rendered by ``repr`` or
+``%`` one at a time.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -45,39 +56,11 @@ import numpy as np
 WIDTH = 24
 
 _U = np.uint64
-_K_MIN, _K_MAX = -324, 292  # decimal exponents of the normal doubles' digit scales
 _MASK_63 = _U(2**63 - 1)
 _MASK_32 = _U(2**32 - 1)
-_ZERO, _ONE, _TWO, _TEN = _U(0), _U(1), _U(2), _U(10)
+_ZERO, _ONE, _TEN = _U(0), _U(1), _U(10)
 _S32, _S63 = _U(32), _U(63)
 _E16, _E17 = _U(10**16), _U(10**17)
-
-
-def _flog2pow10(e):
-    """floor(log2(10**e)) for |e| < 1_233."""
-    return (e * 913_124_641_741) >> 38
-
-
-@cache
-def _g_table() -> tuple[np.ndarray, np.ndarray]:
-    """(g1, g0) with g = g1 * 2**63 + g0 = floor(10**-k * 2**(125 - flog2pow10(-k))) + 1.
-
-    Entry k - K_MIN serves decimal exponent k; 2**125 <= g < 2**126.  Computed
-    exactly from Python ints at first use, not at import.
-    """
-    g = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        p = 125 - _flog2pow10(-k)
-        if k > 0:
-            g.append((1 << p) // 10**k + 1)
-        elif p >= 0:
-            g.append((10**-k << p) + 1)
-        else:
-            g.append((10**-k >> -p) + 1)
-    g1 = np.array([v >> 63 for v in g], dtype=_U)
-    g0 = np.array([v & (2**63 - 1) for v in g], dtype=_U)
-    g1.flags.writeable = g0.flags.writeable = False
-    return g1, g0
 
 
 def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,67 +84,11 @@ def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b_hi
 
 
-def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """Round-to-odd of cp * g / 2**127, g = g1 * 2**63 + g0 (the paper's figure 8)."""
-    z = g1 * cp
-    z >>= _ONE
-    z += _mulhi(g0, cp)
-    vbp = _mulhi(g1, cp)
-    vbp += z >> _S63
-    z &= _MASK_63
-    z += _MASK_63
-    z >>= _S63  # 1 where the bits below the result are not all zero
-    vbp |= z
-    return vbp
-
-
-# cb - 2, cb, cb + 2 (mod 2**64), with cb = 4 * the significand
-_ENDS = np.array([[2**64 - 2], [0], [2]], dtype=_U)
-
-
-def shortest_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Digits f (uint64) and exponents k (int64) of normal doubles: repr(v) == f * 10**k.
-
-    ``bits`` holds the doubles' bit patterns as uint64, sign bit ignored.
-    10**15 < f < 10**17, and f may end in zeros.  Zeros, subnormals,
-    infinities and NaNs give meaningless results.
-    """
-    biased = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
-    frac = bits & _U(2**52 - 1)
-    q = biased - 1075
-    irregular = (frac == _ZERO) & (biased > 1)  # 2**e: the spacing below v is half that above
-    # k = floor(log10(2**q)), or floor(log10(3/4 * 2**q)) at an irregular spacing
-    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + _flog2pow10(-k) + 2).astype(_U)
-    g1, g0 = (np.take(table, k - _K_MIN) for table in _g_table())
-
-    # v and the ends of its rounding interval, scaled by 4 * 10**-k, in one pass
-    cp = ((frac | _U(2**52)) << _TWO) + _ENDS
-    cp[0] += irregular  # 2**e: the lower end is cb - 1
-    cp <<= h
-    vbl, vb, vbr = _rop(g1, g0, cp)
-    out = frac & _ONE  # an odd significand's rounding interval is open
-
-    s = vb >> _TWO  # 2**52 <= s < 10**17
-    sp10 = s // _TEN * _TEN  # the shorter candidates sp10 and sp10 + 10
-    upin = vbl + out <= sp10 << _TWO
-    wpin = ((sp10 + _TEN) << _TWO) + out <= vbr
-    uin = vbl + out <= s << _TWO
-    win = ((s + _ONE) << _TWO) + out <= vbr
-    # at least one of u and w is in, so w is picked where u is out; where both are,
-    # the closer to v, the even one on a tie
-    mid = (s << _TWO) + _TWO
-    pick_w = ~uin | (win & ((vb > mid) | ((vb == mid) & (s & _ONE == _ONE))))
-    f = s + pick_w
-    np.copyto(f, sp10 + _TEN * wpin, where=upin != wpin)
-    return f, k
-
-
 _POW5 = np.array([5**m for m in range(21)], dtype=_U)  # 5**20 < 2**47
 
 
 def _scaled(bits: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """floor(|v| * 10**m) and whether it rounds up, half to even, for normal doubles v.
+    """floor(|v| * 10**m) and the fraction it drops, as a 64-bit word, for normal doubles v.
 
     |v| * 10**m must lie in [10**15, 10**18).  With the significand shifted
     to the top of a word, |v| = c * 2**-r0 (2**63 <= c < 2**64), so
@@ -173,10 +100,52 @@ def _scaled(bits: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = c * p  # the low 64 bits of the product
     hi = _mulhi(p, c)
     r = (1086 - ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64) - m).astype(_U)
-    floor = (hi << (_U(64) - r)) | (lo >> r)
-    dropped = lo << (_U(64) - r)  # the bits shifted out, at the top of a word
+    return (hi << (_U(64) - r)) | (lo >> r), lo << (_U(64) - r)
+
+
+def shortest_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digits f (uint64) and exponents k (int64) of doubles with 1e-4 <= |v| < 1e16:
+    repr(v) == f * 10**k.
+
+    ``bits`` holds the doubles' bit patterns as uint64, sign bit ignored.
+    10**15 < f < 10**17, and f may end in zeros.  Other doubles give
+    meaningless results.
+    """
+    biased = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
+    frac = bits & _U(2**52 - 1)
+    q = biased - 1075  # v = c * 2**q, 2**52 <= c < 2**53
+    irregular = (frac == _ZERO) & (biased > 1)  # 2**e: the spacing below v is half that above
+    # m = -floor(log10(2**q)), or -floor(log10(3/4 * 2**q)) at an irregular spacing,
+    # in [0, 20] on this domain
+    m = -((q * 661_971_961_083 - irregular * 274_743_187_321) >> 41)
+    s, fraction = _scaled(bits, m)  # V = v * 10**m = s + fraction / 2**64, s < 2**57
+
+    # the rounding interval is V -/+ H, H = 2**(q - 1) * 10**m = 5**m / 2**t with
+    # 0 <= t <= 47 and H < 5 (< 20/3 at a power of two); least and greatest are the
+    # outermost whole numbers in it, from integer and fraction words.  The fraction
+    # of 5**m / 2**t is shifted in two steps, as a shift by 64 is not 0.  Two
+    # refinements never decide on this domain and are left out.  An odd c's interval
+    # is open, but an end is a whole number only at t = 0, and then odd, beside the
+    # even V.  The gap below a power of two is H / 2, but each in-domain power scales
+    # to a whole V that is a multiple of ten or, at 2**53 (H = 1), 2 above one
+    p = np.take(_POW5, m)
+    t = (1 - q - m).astype(_U)
+    gap = (p << _ONE) << (_S63 - t)
+    low_fraction = fraction - gap
+    least = s - (p >> t) - (low_fraction > fraction) + (low_fraction != _ZERO)
+    greatest = s + (p >> t) + (fraction + gap < fraction)
+
+    # the multiple of ten in the interval if there is one (at most one is), sp10 or
+    # sp10 + 10; else s or s + 1, whichever is in, and where both are the nearer to V,
+    # the even one on a tie
     half = _U(2**63)
-    return floor, (dropped > half) | ((dropped == half) & (floor & _ONE == _ONE))
+    f = s + ((s < least) | ((s < greatest) & ((fraction > half) |
+                                               ((fraction == half) & (s & _ONE == _ONE)))))
+    sp10 = s // _TEN * _TEN
+    np.copyto(f, sp10, where=sp10 >= least)
+    sp10 += _TEN
+    np.copyto(f, sp10, where=sp10 <= greatest)
+    return f, -m
 
 
 def g17_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,17 +158,19 @@ def g17_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits = values.view(_U)
     x = np.floor(np.log10(np.abs(values))).astype(np.int64)  # X, or one off near 10**X
     x = np.clip(x, -4, 16)
-    floor, up = _scaled(bits, 16 - x)
+    floor, dropped = _scaled(bits, 16 - x)
     # a floor outside [10**16, 10**17) moves X by one; only those cells are redone
     low, high = floor < _E16, floor >= _E17
     x += high.astype(np.int64) - low
     redo = np.flatnonzero((low | high) & (x >= -4) & (x <= 16))
     if len(redo):
-        floor[redo], up[redo] = _scaled(bits[redo], 16 - x[redo])
-    # no digits round up to 10**17 where -4 <= X <= 16: that needs a double within
-    # 5e-18 relative below 10**(X + 1), and none below 10**-3 ... 10**17 is that close
-    # (the doubles that are, such as 1e-14, are written in exponent form)
-    return floor + up, x
+        floor[redo], dropped[redo] = _scaled(bits[redo], 16 - x[redo])
+    # rounded half to even.  No digits round up to 10**17 where -4 <= X <= 16: that
+    # needs a double within 5e-18 relative below 10**(X + 1), and none below 10**-3 ...
+    # 10**17 is that close (the doubles that are, such as 1e-14, are written in
+    # exponent form)
+    half = _U(2**63)
+    return floor + ((dropped > half) | ((dropped == half) & (floor & _ONE == _ONE))), x
 
 
 _LE = np.dtype("<u8")  # a slot is 3 little-endian words: column c is byte c % 8 of word c // 8
@@ -272,58 +243,60 @@ def _positional(digits: np.ndarray, decpt: np.ndarray, negative: np.ndarray,
     return slots
 
 
-def _render(values: np.ndarray, laid: np.ndarray, digits: np.ndarray, decpt: np.ndarray,
-            min_frac: int, text: Callable[[float], str]) -> np.ndarray:
+def _slot(text: str) -> np.ndarray:
+    """``text`` right-aligned in one zero-padded slot."""
+    slot = np.zeros(WIDTH, dtype=np.uint8)
+    slot[WIDTH - len(text):] = np.frombuffer(text.encode(), np.uint8)
+    return slot
+
+
+def _render(values: np.ndarray, top: float,
+            digits: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], min_frac: int,
+            text: Callable[[float], str]) -> np.ndarray:
     """Slots of a float column.
 
-    A cell where ``laid`` is set is laid out by ``_positional`` from its
-    ``digits`` and point position ``decpt``; any other cell is ``text`` of
-    its value, or empty for NaN.  Only the laid-out cells reach the layout.
+    A cell with 1e-4 <= |v| < ``top`` is written in positional form:
+    ``digits`` gives its digits d1..d17 as an integer and the decimal
+    exponent of d1, and ``_positional`` lays them out.  A batch of such cells
+    only goes to both as it is.  In any other batch they are gathered out,
+    a zero gets the constant slot of ``text(0.0)`` or ``text(-0.0)``, and
+    any other cell is ``text`` of its value, or empty for NaN; a batch with
+    no positional cell makes no ``digits`` call.
     """
-    cells = np.flatnonzero(laid)
-    if len(cells) == len(values):
-        return _positional(digits, decpt, np.signbit(values), min_frac)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    size = np.abs(values)
+    laid = (size >= 1e-4) & (size < top)
+    negative = np.signbit(values)
+    if laid.all():
+        d, x = digits(values)
+        return _positional(d, x + 1, negative, min_frac)
     slots = np.zeros((len(values), WIDTH), dtype=np.uint8)
+    cells = np.flatnonzero(laid)
     if len(cells):
-        slots[cells] = _positional(digits[cells], decpt[cells], np.signbit(values[cells]),
-                                   min_frac)
-    for i in np.flatnonzero(~laid & ~np.isnan(values)).tolist():
-        cell = text(float(values[i])).encode()
-        slots[i, WIDTH - len(cell):] = np.frombuffer(cell, np.uint8)
+        d, x = digits(values[cells])
+        slots[cells] = _positional(d, x + 1, negative[cells], min_frac)
+    zero = size == 0.0
+    slots[zero] = np.where(negative[zero, None], _slot(text(-0.0)), _slot(text(0.0)))
+    for i in np.flatnonzero(~(laid | zero | np.isnan(values))).tolist():
+        slots[i] = _slot(text(float(values[i])))
     return slots
+
+
+def _repr_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``repr``'s d1..d17 and the exponent of d1, for 1e-4 <= |v| < 1e16."""
+    f, k = shortest_digits(values.view(_U) & _MASK_63)
+    short = f < _E16
+    return f + _U(9) * f * short, k + 16 - short
 
 
 def repr_slots(values: np.ndarray) -> np.ndarray:
     """``repr`` of each float, NaN empty, as zero-padded (n, WIDTH) right-aligned ASCII."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    magnitude = values.view(_U) & _MASK_63
-    normal = np.flatnonzero((magnitude >= _U(2**52)) & (magnitude < _U(0x7FF << 52)))
-    digits = np.zeros(len(values), dtype=_U)  # zeros are laid out as d1 = 0 before the point
-    decpt = np.ones(len(values), dtype=np.int64)
-    laid = magnitude == _ZERO
-    if len(normal):
-        f, k = shortest_digits(magnitude[normal])
-        short = f < _E16
-        digits[normal] = f + _U(9) * f * short  # d1..d17
-        decpt[normal] = k + 17 - short  # repr's value is 0.d1d2...d17 * 10**decpt
-        laid[normal] = (decpt[normal] > -4) & (decpt[normal] <= 16)
-    return _render(values, laid, digits, decpt, 1, repr)
+    return _render(values, 1e16, _repr_digits, 1, repr)
 
 
 def g17_slots(values: np.ndarray) -> np.ndarray:
     """``'%.17g' %`` of each float, NaN empty, as zero-padded (n, WIDTH) right-aligned ASCII."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    size = np.abs(values)
-    scaled = np.flatnonzero((size >= 1e-5) & (size < 1e18))
-    digits = np.zeros(len(values), dtype=_U)
-    decpt = np.ones(len(values), dtype=np.int64)
-    laid = size == 0.0
-    if len(scaled):
-        d, x = g17_digits(values[scaled])
-        digits[scaled] = d
-        decpt[scaled] = x + 1
-        laid[scaled] = (x >= -4) & (x <= 16)
-    return _render(values, laid, digits, decpt, 0, "%.17g".__mod__)
+    return _render(values, 1e17, g17_digits, 0, "%.17g".__mod__)
 
 
 _POW10 = np.array([10**k for k in range(1, 20)], dtype=_U)  # 10**19 < 2**64

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-MAX_DEPTH = 24
+MAX_DEPTH = 20
 JUMP_THRESHOLD = 30.0
 MIN_GRID = 64
 # points per row block: ``integrate`` levels (a row's new nodes in column chunks

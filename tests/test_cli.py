@@ -104,9 +104,10 @@ class TestWriteCsv:
             with open(ours, "rb") as a, open(ref, "rb") as b:
                 assert a.read() == b.read()
 
-    # 2047..2049 sit around the earlier 2048-row batch size, inside one batch now
+    # 399..401 sit around the earlier 400-cell vectorised-writer threshold, above
+    # it now; 2047..2049 around the earlier 2048-row batch size, inside one batch now
     @pytest.mark.parametrize("rows", [_REPR_KERNEL_MIN - 1, _REPR_KERNEL_MIN, _REPR_KERNEL_MIN + 1,
-                                      2047, 2048, 2049,
+                                      399, 400, 401, 2047, 2048, 2049,
                                       _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1,
                                       2 * _CSV_CHUNK + 1])
     @pytest.mark.parametrize("digits17", [False, True])

@@ -39,12 +39,19 @@ def _repr_digits(value: float) -> tuple[str, int]:
     return significant, int(exponent or 0) - len(fraction) + len(digits) - len(significant)
 
 
+def _positional_doubles(values) -> np.ndarray:
+    """The values with 1e-4 <= |v| < 1e16, the kernel's domain: repr's positional cells."""
+    values = np.asarray(values, dtype=np.float64)
+    return values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)]
+
+
 class TestShortestDigits:
-    """The kernel's digits against repr's, exponent form included."""
+    """The kernel's digits against repr's, on its domain 1e-4 <= |v| < 1e16."""
 
     @staticmethod
     def _check(values):
         values = np.asarray(values, dtype=np.float64)
+        assert np.all((np.abs(values) >= 1e-4) & (np.abs(values) < 1e16))
         f, k = shortest_digits(values.view(np.uint64))
         for value, digits, power in zip(values.tolist(), f.tolist(), k.tolist()):
             significant = str(digits).rstrip("0")
@@ -52,30 +59,35 @@ class TestShortestDigits:
             assert got == _repr_digits(value), value
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(1, 2046), min_size=1, max_size=32), st.data())
+    @given(st.lists(st.integers(1009, 1076), min_size=1, max_size=32), st.data())
     def test_every_normal_double(self, exponents, data):
+        # biased exponents 1009 to 1076 hold 2**-14 <= v < 2**54, around the domain
         fractions = data.draw(st.lists(st.integers(0, 2**52 - 1), min_size=len(exponents),
                                        max_size=len(exponents)))
         bits = [(e << 52) | m for e, m in zip(exponents, fractions)]
-        self._check(np.array(bits, dtype=np.uint64).view(np.float64))
+        self._check(_positional_doubles(np.array(bits, dtype=np.uint64).view(np.float64)))
 
     def test_random_normal_doubles(self):
         rng = np.random.default_rng(24)
-        bits = (rng.integers(1, 2047, 20_000, dtype=np.uint64) << np.uint64(52)) | rng.integers(
+        bits = (rng.integers(1009, 1077, 20_000, dtype=np.uint64) << np.uint64(52)) | rng.integers(
             0, 2**52, 20_000, dtype=np.uint64)
-        self._check(bits.view(np.float64))
+        self._check(_positional_doubles(bits.view(np.float64)))
 
     def test_powers_of_two_and_ten(self):
         # a power of two has a rounding interval twice as wide above as below
-        values = _neighbours([2.0**e for e in range(-1022, 1024)] +
-                             [10.0**e for e in range(-307, 309)])
-        self._check(values[values >= 2.0**-1022])
+        self._check(_positional_doubles(_neighbours([2.0**e for e in range(-14, 54)] +
+                                                    [10.0**e for e in range(-4, 17)])))
 
     def test_interval_ends(self):
-        # between 2**54 and 2**55 doubles are 4 apart, and the midpoint v + 2 of an
-        # odd significand ending in 8 is a shorter decimal that does not read back as v
-        base = 2.0**54
-        self._check(base + 4.0 * np.arange(1, 4000))
+        # from 2**52 to 2**53 doubles are 1 apart, from 2**53 to 1e16 2 apart with
+        # whole-number interval ends v - 1 and v + 1, inside only for an even
+        # significand; the half-gap's fraction word is 0 there
+        rng = np.random.default_rng(25)
+        self._check(np.concatenate([
+            2.0**52 + np.arange(-4000, 4000), 2.0**53 + np.arange(-4000, 4000, 2.0),
+            9999999999999998.0 - np.arange(0, 8000, 2.0),
+            rng.integers(2**52, 10**16, 5000).astype(np.float64),
+        ]))
 
 
 class TestReprSlots:
@@ -291,6 +303,37 @@ class TestKernelInput:
         assert seen == [len(values[::7])]
         expected = repr if writer is repr_slots else "%.17g".__mod__
         assert texts == ["" if math.isnan(v) else expected(v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize("writer,kernel,zeros", [(repr_slots, "shortest_digits", ["0.0", "-0.0"]),
+                                                 (g17_slots, "g17_digits", ["0", "-0"])])
+class TestZeroCells:
+    """Zeros get constant slots: neither the digit kernel nor the layout sees them."""
+
+    def test_all_zero_column_makes_no_kernel_call(self, writer, kernel, zeros, monkeypatch):
+        def fail(*args):
+            raise AssertionError("kernel called")
+        monkeypatch.setattr(shortest, kernel, fail)
+        monkeypatch.setattr(shortest, "_positional", fail)
+        values = np.zeros(3000)
+        values[1::3] = -0.0
+        assert _cells(writer(values)) == [zeros[0], zeros[1], zeros[0]] * 1000
+
+    def test_zeros_mixed_with_kernel_cells(self, writer, kernel, zeros, monkeypatch):
+        seen = []
+        for name in (kernel, "_positional"):
+            def spy(arg, *rest, real=getattr(shortest, name)):
+                seen.append(len(arg))
+                return real(arg, *rest)
+            monkeypatch.setattr(shortest, name, spy)
+        values = np.linspace(-2.0, 2.0, 3000)
+        values[::5] = 0.0
+        values[1::5] = -0.0
+        texts = _cells(writer(values))
+        assert seen == [len(values) * 3 // 5] * 2
+        assert texts[:2] == zeros
+        expected = repr if writer is repr_slots else "%.17g".__mod__
+        assert texts == [expected(v) for v in values.tolist()]
 
 
 def _int_texts(values) -> list[str]:

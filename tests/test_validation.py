@@ -45,6 +45,16 @@ def test_integrate_nonconvergence_carries_best_estimate():
     assert np.isfinite(exc.value.best.value)
 
 
+def test_integrate_default_depth_bounds_a_runaway_segment():
+    # this integrand meets tol = 1e-11 only at level 24, after 1.3e8 evaluations; the
+    # default depth stops its one segment at 8 * 2**20 + 1.  The test suite's
+    # converging integrals stop at level 11 or less
+    with pytest.raises(QuadratureError) as exc:
+        integrate(lambda x: np.abs(np.sin(7 * x)) ** 0.3, -0.7, 1.3, tol=1e-11)
+    assert exc.value.best.evaluations == 8 * 2**validation.MAX_DEPTH + 1 == 8 * 2**20 + 1
+    assert np.isfinite(exc.value.best.value)
+
+
 def test_integrate_breakpoints_restore_accuracy():
     f = lambda x: np.abs(x - 0.3)
     res = integrate(f, 0.0, 1.0, tol=1e-12, breakpoints=[0.3])
