@@ -38,7 +38,6 @@ from .wavestate import (
     mirror_timing,
     nonlocality_range,
     split_state,
-    window,
 )
 
 __version__ = "0.1.0"

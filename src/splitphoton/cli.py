@@ -45,10 +45,10 @@ EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as a shell reports it
 # ~0.3 MB more peak RSS in the field-grid benchmark; 8192 rows were no faster
 # there and added ~1.7 MB
 _CSV_CHUNK = 4096
-# below this many cells a float column is formatted by one ``%`` over a ``%24r``
-# or ``%24.17g`` template: a vectorised writer's fixed cost of ~0.12-0.17 ms
-# outweighs ``%``'s ~0.7 us (``%r``) or ~0.5 us (``%.17g``) a cell, as in the
-# 50-row ``track`` tables.  On a 2-core x86 host the crossover is near 260-320
+# below this many cells a float column is formatted by ``shortest.percent_slots``,
+# one ``%`` over ``%24r`` or ``%24.17g`` fields: a vectorised writer's fixed cost
+# of ~0.12-0.17 ms outweighs ``%``'s ~0.7 us (``%r``) or ~0.5 us (``%.17g``) a
+# cell, as in the 50-row ``track`` tables.  On a 2-core x86 host the crossover is near 260-320
 # cells for ``repr_slots`` and 320-440 for ``g17_slots``; one threshold serves
 # both, costing either at most ~0.04 ms on a batch beside it
 _REPR_KERNEL_MIN = 320
@@ -78,9 +78,8 @@ def _slots(column, lo: int, digits17: bool) -> np.ndarray:
 
     Labels are gathered from their table, ints come from ``shortest.int_slots``,
     floats from ``shortest.g17_slots`` under ``digits17`` and ``repr_slots``
-    otherwise, or below ``_REPR_KERNEL_MIN`` cells from one ``%24.17g`` or
-    ``%24r`` ``%`` whose space padding (no such text holds a space) is zeroed.
-    A NaN is an empty cell.
+    otherwise, or below ``_REPR_KERNEL_MIN`` cells from one ``%`` over the
+    batch, ``shortest.percent_slots``.  A NaN is an empty cell.
     """
     if isinstance(column, tuple):
         table, codes = column
@@ -90,11 +89,7 @@ def _slots(column, lo: int, digits17: bool) -> np.ndarray:
         return shortest.int_slots(values)
     if len(values) >= _REPR_KERNEL_MIN:
         return shortest.g17_slots(values) if digits17 else shortest.repr_slots(values)
-    conversion = f"%{shortest.WIDTH}.17g" if digits17 else f"%{shortest.WIDTH}r"
-    text = (conversion * len(values) % tuple(values.tolist())).replace(" ", "\0")
-    slots = np.frombuffer(bytearray(text, "ascii"), np.uint8).reshape(-1, shortest.WIDTH)
-    slots[np.isnan(values)] = 0
-    return slots
+    return shortest.percent_slots(values, ".17g" if digits17 else "r")
 
 
 def _label_table(labels, codes):
@@ -316,6 +311,11 @@ def _add_mode_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c", type=float, default=1.0, help="wave speed")
 
 
+def _add_output_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", default=None, help="CSV path (default stdout)")
+    parser.add_argument("--digits17", action="store_true", help="fixed 17-significant-digit output")
+
+
 @cache  # built once per process: saves repeated in-process ``main`` calls, not a one-shot CLI run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -329,23 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=None, help="reflection moment in [0, a]")
     p.add_argument("--t", type=float, default=None, help="free-propagation time")
     p.add_argument("--grid", type=_count, default=1024)
-    p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.add_argument("--digits17", action="store_true", help="fixed 17-significant-digit output")
+    _add_output_args(p)
     p.set_defaults(func=cmd_snapshot)
 
     p = sub.add_parser("energy", help="energy ledger sweep over s")
     _add_mode_args(p)
     p.add_argument("--steps", type=_count, default=1000)
-    p.add_argument("--out", default=None)
-    p.add_argument("--digits17", action="store_true")
+    _add_output_args(p)
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("track", help="inner-discontinuity track: closed form vs locator")
     _add_mode_args(p)
     p.add_argument("--steps", type=_count, default=50)
     p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--out", default=None)
-    p.add_argument("--digits17", action="store_true")
+    _add_output_args(p)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("dce", help="run a delayed-choice scenario file")
@@ -353,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=[m.value for m in experiments.OutcomeModel], default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--out", default=None, help="per-trial CSV path (default stdout)")
-    p.add_argument("--digits17", action="store_true")
+    _add_output_args(p)
     p.set_defaults(func=cmd_dce)
 
     p = sub.add_parser("check", help="run the analytic self-consistency checks")

@@ -9,12 +9,15 @@ label, time window, exact Born-rule mass, the pieces it draws click times or
 scatter positions from, and flag.  A detector gets one event per sweep of a
 half-self across it (left, right, leading_pulse or trailing_pulse); a gun
 scenario gets one event of mass 1/2 per side (left, right), instrument-less
-where no gun meets the pulse.  Two outcome models read the table:
+where no gun meets the pulse.  The table is the one answer to when an
+instrument meets which part of the photon: the instruments a trial can reach
+are those of its events, and a gun's scatter positions are the ``scatter_x``
+column of ``run_trials``.  Two outcome models read the table:
 
 * conventional QM: Born-rule clicks with exact single-photon
   anti-coincidence, one event per trial with its mass as probability;
 * "preferred way": a comparator model in which the photon deterministically
-  routes itself to the first-inserted reachable instrument and always clicks.
+  routes itself to the first-inserted instrument of the table and always clicks.
 
 Trial ``i`` owns counter block ``i`` of a Philox stream keyed by the seed
 (Salmon et al., SC'11): four uniform doubles, the first picking an event and
@@ -47,8 +50,6 @@ __all__ = [
     "InstrumentStats",
     "StatsReport",
     "crossing_events",
-    "reachable",
-    "scatter_positions",
     "run",
     "run_trials",
     "aggregate",
@@ -264,11 +265,6 @@ def _table(mode: ModeSpec, pieces: tuple[Piece, ...]) -> tuple[np.ndarray, np.nd
     return cdf / cdf[-1], nodes
 
 
-def _place(event: CrossingEvent, c: float, x: np.ndarray) -> np.ndarray:
-    """Points x of the event's pieces as a detector's click times or a gun's scatter x."""
-    return event.origin + (x if event.instrument.kind is InstrumentKind.ELECTRON_GUN else x / c)
-
-
 def crossing_events(scenario: Scenario) -> list[CrossingEvent]:
     """The ways a trial can end with their exact masses: one gun event per side,
     LEFT then RIGHT, or detector sweeps by start time.  Each half-self carries
@@ -389,13 +385,12 @@ def _sample(scenario: Scenario, events: list[CrossingEvent], start: int, stop: i
         if ev.pieces not in tables:
             tables[ev.pieces] = _table(scenario.mode, ev.pieces)
         cdf, x = tables[ev.pieces]
-        value = np.interp(ev.frac_lo + u[hit, 1] * (ev.frac_hi - ev.frac_lo), cdf,
-                          _place(ev, scenario.mode.c, x))
+        fraction = ev.frac_lo + u[hit, 1] * (ev.frac_hi - ev.frac_lo)
         if ev.instrument.kind is InstrumentKind.ELECTRON_GUN:
             click_time[hit] = ev.t_start
-            scatter_x[hit] = value
+            scatter_x[hit] = np.interp(fraction, cdf, ev.origin + x)
         else:
-            click_time[hit] = value
+            click_time[hit] = np.interp(fraction, cdf, ev.origin + x / scenario.mode.c)
     expected = tuple(min(1.0, math.fsum(ev.mass for ev in events if ev.instrument is ins))
                      for ins in scenario.instruments)
     return Trials(ids, expected, instrument, click_time, scatter_x, branch, flag)
@@ -411,29 +406,6 @@ def run_trials(scenario: Scenario, start: int = 0, stop: Optional[int] = None) -
     if scenario.model is OutcomeModel.PREFERRED_WAY:
         events = _comparator(scenario, events)
     return _sample(scenario, events, start, stop)
-
-
-def reachable(scenario: Scenario) -> list[Instrument]:
-    """Instruments of ``crossing_events``: detectors with crossing mass, guns whose
-    shot overlaps the pulse.  The comparator model picks among these."""
-    events = crossing_events(scenario)
-    return [ins for ins in scenario.instruments if any(ev.instrument is ins for ev in events)]
-
-
-def scatter_positions(scenario: Scenario, gun_id: str, n: int, seed: int = 0) -> np.ndarray:
-    """Draw n scatter positions from a gun's instantaneous-density sampler.
-
-    Conditions on the photon being on the gun's side; raises if ``gun_id`` is
-    not an electron gun of the scenario or its shot does not overlap the pulse.
-    """
-    gun = next((ins for ins in scenario.instruments if ins.id == gun_id), None)
-    if gun is None or gun.kind is not InstrumentKind.ELECTRON_GUN:
-        raise ValueError(f"{gun_id!r} is not an electron gun of the scenario")
-    event = next((ev for ev in crossing_events(scenario) if ev.instrument is gun), None)
-    if event is None:
-        raise ValueError(f"gun {gun_id!r} has no pulse overlap at its shot time")
-    cdf, x = _table(scenario.mode, event.pieces)
-    return np.interp(np.random.default_rng(seed).random(n), cdf, _place(event, scenario.mode.c, x))
 
 
 def _z_score(count: int, n: int, p: float) -> float:

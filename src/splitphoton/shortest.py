@@ -6,7 +6,7 @@ is an empty cell): ``repr_slots`` as ``repr``, ``g17_slots`` as ``'%.17g' %``,
 ``int_slots`` as ``'%d' %``; no text holds a zero byte.  The float writers
 find digits with their own kernels, run on the cells they lay out only, and
 lay them out through ``_render``, which each calls with its kernel, the top
-of its positional range and its form rule.
+of its positional range, its form rule and its ``%`` conversion.
 
 Both float kernels start from one exact product.  A double is c * 2**q with
 an integer c, so v * 10**m = c * 5**m * 2**(q + m): with c at the top of a
@@ -41,8 +41,8 @@ positional cells only goes to the digit kernel and the layout as it is.  A
 batch of zeros and NaNs only gets constant slots and makes no kernel call.
 Any other batch has its positional cells gathered out for the kernels, its
 zeros given constant slots, and its other cells (exponent form, subnormals,
-infinities), rare in the tables this package writes, rendered by ``repr`` or
-``%`` one at a time.
+infinities), rare in the tables this package writes, rendered by one ``%``
+over all of them (``percent_slots``).
 """
 
 from __future__ import annotations
@@ -149,20 +149,20 @@ def shortest_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def g17_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Digits d (uint64) and exponents x (int64) with ``'%.16e' % v`` == d * 10**(x - 16).
+    """Digits d (uint64) and exponents x (int64) with ``'%.16e' % v`` == d * 10**(x - 16),
+    for doubles with 1e-4 <= |v| < 1e17: the cells ``%.17g`` writes in positional form.
 
-    For doubles with 1e-5 <= |v| < 1e18.  10**16 <= d < 10**17 wherever
-    -4 <= x <= 16, the cells ``%.17g`` writes in positional form; elsewhere x
-    is outside that range and d meaningless.
+    On that domain -4 <= x <= 16 and 10**16 <= d < 10**17.  Other doubles give
+    meaningless results, or an ``IndexError`` from the table of powers of five.
     """
     bits = values.view(_U)
     x = np.floor(np.log10(np.abs(values))).astype(np.int64)  # X, or one off near 10**X
-    x = np.clip(x, -4, 16)
+    x = np.clip(x, -4, 16)  # at the ends of the domain the estimate may leave [-4, 16]
     floor, dropped = _scaled(bits, 16 - x)
-    # a floor outside [10**16, 10**17) moves X by one; only those cells are redone
+    # a floor outside [10**16, 10**17) means x was one off X; only those cells are redone
     low, high = floor < _E16, floor >= _E17
     x += high.astype(np.int64) - low
-    redo = np.flatnonzero((low | high) & (x >= -4) & (x <= 16))
+    redo = np.flatnonzero(low | high)
     if len(redo):
         floor[redo], dropped[redo] = _scaled(bits[redo], 16 - x[redo])
     # rounded half to even.  No digits round up to 10**17 where -4 <= X <= 16: that
@@ -243,25 +243,31 @@ def _positional(digits: np.ndarray, decpt: np.ndarray, negative: np.ndarray,
     return slots
 
 
-def _slot(text: str) -> np.ndarray:
-    """``text`` right-aligned in one zero-padded slot."""
-    slot = np.zeros(WIDTH, dtype=np.uint8)
-    slot[WIDTH - len(text):] = np.frombuffer(text.encode(), np.uint8)
-    return slot
+def percent_slots(values: np.ndarray, conversion: str) -> np.ndarray:
+    """``'%' + conversion`` of each float, NaN empty, as zero-padded (n, WIDTH)
+    right-aligned ASCII, from one ``%`` over n fields of ``WIDTH`` columns.
+
+    ``conversion`` is ``"r"`` (``repr``) or ``".17g"``.  The fields' space
+    padding is zeroed: no such text holds a space.
+    """
+    text = (f"%{WIDTH}{conversion}" * len(values) % tuple(values.tolist())).replace(" ", "\0")
+    slots = np.frombuffer(bytearray(text, "ascii"), np.uint8).reshape(-1, WIDTH)
+    slots[np.isnan(values)] = 0
+    return slots
 
 
 def _render(values: np.ndarray, top: float,
             digits: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], min_frac: int,
-            text: Callable[[float], str]) -> np.ndarray:
+            conversion: str) -> np.ndarray:
     """Slots of a float column.
 
     A cell with 1e-4 <= |v| < ``top`` is written in positional form:
     ``digits`` gives its digits d1..d17 as an integer and the decimal
     exponent of d1, and ``_positional`` lays them out.  A batch of such cells
     only goes to both as it is.  In any other batch they are gathered out,
-    a zero gets the constant slot of ``text(0.0)`` or ``text(-0.0)``, and
-    any other cell is ``text`` of its value, or empty for NaN; a batch with
-    no positional cell makes no ``digits`` call.
+    a zero gets the constant slot of ``'%' + conversion`` of 0.0 or -0.0, and
+    the other cells but NaN (empty) are written by one ``percent_slots`` call;
+    a batch with no positional cell makes no ``digits`` call.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     size = np.abs(values)
@@ -276,9 +282,9 @@ def _render(values: np.ndarray, top: float,
         d, x = digits(values[cells])
         slots[cells] = _positional(d, x + 1, negative[cells], min_frac)
     zero = size == 0.0
-    slots[zero] = np.where(negative[zero, None], _slot(text(-0.0)), _slot(text(0.0)))
-    for i in np.flatnonzero(~(laid | zero | np.isnan(values))).tolist():
-        slots[i] = _slot(text(float(values[i])))
+    slots[zero] = np.where(negative[zero, None], *percent_slots(np.array([-0.0, 0.0]), conversion))
+    other = np.flatnonzero(~(laid | zero | np.isnan(values)))
+    slots[other] = percent_slots(values[other], conversion)
     return slots
 
 
@@ -291,12 +297,12 @@ def _repr_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def repr_slots(values: np.ndarray) -> np.ndarray:
     """``repr`` of each float, NaN empty, as zero-padded (n, WIDTH) right-aligned ASCII."""
-    return _render(values, 1e16, _repr_digits, 1, repr)
+    return _render(values, 1e16, _repr_digits, 1, "r")
 
 
 def g17_slots(values: np.ndarray) -> np.ndarray:
     """``'%.17g' %`` of each float, NaN empty, as zero-padded (n, WIDTH) right-aligned ASCII."""
-    return _render(values, 1e17, g17_digits, 0, "%.17g".__mod__)
+    return _render(values, 1e17, g17_digits, 0, ".17g")
 
 
 _POW10 = np.array([10**k for k in range(1, 20)], dtype=_U)  # 10**19 < 2**64

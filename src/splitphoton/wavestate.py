@@ -2,8 +2,9 @@
 
 Covers the trapped standing-wave eigenmode, the post-release pair of
 counter-propagating length-``a`` pulses, and the kinematic bookkeeping
-(non-locality range, mirror timing, scenario timing windows).  Everything is
-closed-form.
+(non-locality range, mirror timing).  Everything is closed-form.  When an
+instrument of a scenario meets which part of the pulse is not worked out
+here: ``experiments.crossing_events`` is the one table of those times.
 
 Every field regime is a short tuple of sinusoid ``Piece``s; one evaluator,
 derivative rule, one-sided ``limits`` and exact ``cumulative`` integral of
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -40,7 +41,6 @@ __all__ = [
     "split_state",
     "nonlocality_range",
     "mirror_timing",
-    "window",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -261,34 +261,3 @@ def mirror_timing(a: float, c: float, D: float) -> tuple[float, float]:
     s_max = 2.0 * D + a
     return s_max, s_max / (2.0 * c)
 
-
-def window(kind: str, *, a: float = 1.0, c: float = 1.0, D: Optional[float] = None,
-           L: Optional[float] = None, S: Optional[float] = None) -> tuple[float, float]:
-    """Geometry/timing windows of the canonical scenarios.
-
-    kinds: "measurement_region" (spatial strip (D-a, D) swept during
-    reflection), "reflection_shots" (shot times during reflection),
-    "left_gun_shots" (pulse-overlap times at distance L left of the
-    source), "pre_arrival_insertion" (detector insertion times before
-    the pulse reaches distance S).  An interval with hi <= lo is empty.
-    """
-    if a <= 0 or c <= 0:
-        raise ValueError("a and c must be positive")
-    if kind == "measurement_region":
-        if D is None or D <= a:
-            raise ValueError("measurement region requires mirror distance D > a")
-        return (D - a, D)
-    if kind == "reflection_shots":
-        if D is None or D <= a:
-            raise ValueError("reflection shots require mirror distance D > a")
-        t_d = (2.0 * D + a) / (2.0 * c)
-        return (t_d - a / c, t_d)
-    if kind == "left_gun_shots":
-        if L is None or L <= 0:
-            raise ValueError("left gun shots require positive distance L")
-        return ((L - a / 2.0) / c, (L + a / 2.0) / c)
-    if kind == "pre_arrival_insertion":
-        if S is None or S <= 0:
-            raise ValueError("pre-arrival insertion requires positive distance S")
-        return (0.0, (S - a / 2.0) / c)
-    raise ValueError(f"unknown window kind {kind!r}")

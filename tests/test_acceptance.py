@@ -19,9 +19,9 @@ from splitphoton.experiments import (
     OutcomeModel,
     Scenario,
     Trials,
+    crossing_events,
     run,
     run_trials,
-    scatter_positions,
 )
 from splitphoton.reflection import (
     domains,
@@ -31,7 +31,7 @@ from splitphoton.reflection import (
 )
 from splitphoton.snapshot import reflection_snapshot
 from splitphoton.validation import integrate, locate_jumps
-from splitphoton.wavestate import eigenmode, window
+from splitphoton.wavestate import eigenmode
 
 N_TRIALS = 100_000
 THREE_SIGMA = 3.0 * np.sqrt(0.25 / N_TRIALS)  # 0.00474 for a fair-coin rate
@@ -346,11 +346,13 @@ class TestCriterion7MonteCarlo:
 def test_criterion_8_gun_scatter_statistics():
     # shot timed to s = a/2, where the standing-wave density is pure cos^2
     D = 5.0
+    # half the trials land on the gun: twice the draws give ~N_TRIALS scatters
     sc = Scenario(
         mode=ModeSpec(), mirror_distance=D,
-        instruments=[gun("EG", 4.2, 5.0)],
+        instruments=[gun("EG", 4.2, 5.0)], trials=2 * N_TRIALS, seed=49,
     )
-    xs = scatter_positions(sc, "EG", N_TRIALS, seed=49)
+    trials = run_trials(sc)
+    xs = trials.scatter_x[trials.instrument == 0]
     edges = np.linspace(D - 0.5, D, 51)
     observed, _ = np.histogram(xs, bins=edges)
     anti = lambda x: 2.0 * (x - D) + np.sin(2.0 * np.pi * (x - D)) / np.pi
@@ -365,14 +367,23 @@ def test_criterion_8_gun_scatter_statistics():
 
 def test_criterion_9_timing_formulas():
     assert mirror_timing(1.0, 1.0, 5.0) == (11.0, 5.5)
-    # hand substitution: reflection lasts one pulse-transit ending at t_D
-    assert window("reflection_shots", a=1.0, c=1.0, D=5.0) == (4.5, 5.5)
-    # overlap with a gun L to the left: |t - L/c| <= a/(2c)
-    assert window("left_gun_shots", a=1.0, c=1.0, L=3.0) == (2.5, 3.5)
-    # insertion before the leading edge reaches distance S
-    assert window("pre_arrival_insertion", a=1.0, c=1.0, S=3.0) == (0.0, 2.5)
-    lo, hi = window("pre_arrival_insertion", a=1.0, c=1.0, S=0.5)
-    assert hi <= lo  # empty: the detector starts inside the initial pulse
+
+    def event(instrument, branch):
+        sc = Scenario(mode=ModeSpec(), mirror_distance=5.0, instruments=[instrument])
+        return next(ev for ev in crossing_events(sc) if ev.branch is branch)
+
+    # hand substitution: reflection lasts one pulse-transit ending at t_D, shots
+    # in [4.5, 5.5] meet the pieces at the mirror
+    assert all(event(gun("EG", 4.8, t), Branch.RIGHT).origin == 5.0 for t in (4.5, 5.0, 5.5))
+    assert all(event(gun("EG", 4.8, t), Branch.RIGHT).origin != 5.0 for t in (4.4, 5.6))
+    # overlap with a gun L = 3 to the left: |t - L/c| <= a/(2c)
+    assert all(event(gun("EG", -3.0, t), Branch.LEFT).instrument is not None for t in (2.5, 3.5))
+    assert all(event(gun("EG", -3.0, t), Branch.LEFT).flag == "no-overlap" for t in (2.4, 3.6))
+    # insertion before the leading edge reaches distance S = 3, t <= 2.5, catches it whole
+    assert event(detector("D", 3.0, 2.5), Branch.RIGHT).frac_lo == 0.0
+    assert event(detector("D", 3.0, 2.6), Branch.RIGHT).frac_lo > 0.0
+    # empty at S = 0.5: a detector at 0.4 starts inside the initial pulse
+    assert event(detector("D", 0.4, 0.0), Branch.RIGHT).frac_lo > 0.0
     _passed(
         "criterion 9: timing formulas exact (mirror_timing(1,1,5) = (11, 5.5); "
         "windows (4.5,5.5), (2.5,3.5), (0,2.5), empty)"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,14 +18,12 @@ from splitphoton.experiments import (
     _table,
     aggregate,
     crossing_events,
-    reachable,
     run,
     run_trials,
-    scatter_positions,
 )
 from splitphoton.reflection import reflection_pieces
 from splitphoton.validation import integrate
-from splitphoton.wavestate import cumulative, pulse_pieces, window
+from splitphoton.wavestate import cumulative, pulse_pieces
 
 MODE = ModeSpec()
 
@@ -38,28 +37,43 @@ def gun(id, position, shot):
 
 
 class TestWindows:
+    """When an instrument meets the pulse, read from the event table (a = n = c = 1, D = 5)."""
+
+    @staticmethod
+    def _event(instrument, branch):
+        sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[instrument])
+        return next(ev for ev in crossing_events(sc) if ev.branch is branch)
+
     def test_reflection_shots(self):
-        assert window("reflection_shots", a=1.0, c=1.0, D=5.0) == (4.5, 5.5)
+        # reflection lasts from t = D - a/2 = 4.5 to t = D + a/2 = 5.5
+        for shot in (4.5, 5.0, 5.5):
+            event = self._event(gun("EG", 4.8, shot), Branch.RIGHT)
+            assert event.instrument is not None and event.origin == 5.0
+            assert event.pieces == reflection_pieces(MODE, shot - 4.5)
+        for shot in (4.4, 5.6):  # the incident, then the detached reflected pulse on [3.9, 4.9]
+            event = self._event(gun("EG", 4.8, shot), Branch.RIGHT)
+            assert event.instrument is not None and event.origin == pytest.approx(3.9)
+            assert event.pieces == pulse_pieces(MODE, 0.0, 1)
 
     def test_left_gun_shots(self):
-        assert window("left_gun_shots", a=1.0, c=1.0, L=3.0) == (2.5, 3.5)
+        # the left pulse lies on [-ct - a/2, -ct + a/2]: it covers x = -3 for 2.5 <= t <= 3.5
+        for shot in (2.5, 3.5):
+            event = self._event(gun("EGL", -3.0, shot), Branch.LEFT)
+            assert event.instrument is not None and event.instrument.id == "EGL"
+        for shot in (2.4, 3.6):
+            event = self._event(gun("EGL", -3.0, shot), Branch.LEFT)
+            assert event.instrument is None and event.flag == "no-overlap"
 
     def test_pre_arrival(self):
-        lo, hi = window("pre_arrival_insertion", a=1.0, c=1.0, S=3.0)
-        assert (lo, hi) == (0.0, 2.5)
+        # the leading edge reaches S = 3 at t = 2.5: inserted by then, the whole pulse is caught
+        event = self._event(detector("D1", 3.0, insertion=2.5), Branch.RIGHT)
+        assert event.frac_lo == 0.0 and event.mass == 0.5
+        assert self._event(detector("D1", 3.0, insertion=2.6), Branch.RIGHT).mass < 0.5
 
     def test_pre_arrival_empty_inside_source(self):
-        lo, hi = window("pre_arrival_insertion", a=1.0, c=1.0, S=0.5)
-        assert hi <= lo
-
-    def test_measurement_region(self):
-        assert window("measurement_region", a=1.0, c=1.0, D=5.0) == (4.0, 5.0)
-
-    def test_bad_geometry(self):
-        with pytest.raises(ValueError):
-            window("reflection_shots", a=1.0, c=1.0, D=0.5)
-        with pytest.raises(ValueError):
-            window("no_such_window", a=1.0, c=1.0)
+        # a detector at 0.4 starts inside the initial pulse: even at t = 0 it misses a part
+        for branch in (Branch.LEFT, Branch.RIGHT):
+            assert self._event(detector("D1", 0.4), branch).frac_lo > 0.0
 
 
 class TestCrossingEvents:
@@ -103,6 +117,19 @@ class TestCrossingEvents:
         events = crossing_events(sc)
         assert [ev.instrument.id for ev in events] == ["DN"]
         assert events[0].branch is Branch.TRAILING_PULSE
+
+    @pytest.mark.xfail(strict=True, reason="each half-self's later sweeps are scaled by one "
+                       "scalar, 1 - caught, whatever part of the profile was caught: B's "
+                       "tail half shadows A's head half, giving 0.125 and 0.375")
+    def test_no_retroaction_on_disjoint_profile_parts(self):
+        # free space: A at 4.0, removed at t = 4.0, catches the head half of the right
+        # half-self; B at 2.0, inserted at t = 2.0, catches its tail half
+        head = detector("A", 4.0, removal=4.0)
+        tail = detector("B", 2.0, insertion=2.0)
+        events = crossing_events(Scenario(mode=MODE, instruments=[head, tail]))
+        caught = math.fsum(ev.mass for ev in events if ev.instrument is head)
+        right = math.fsum(ev.mass for ev in events if ev.branch is Branch.RIGHT)
+        assert (caught, right) == pytest.approx((0.25, 0.5))
 
     def test_efficiency_scales_mass(self):
         sc = Scenario(mode=MODE, instruments=[detector("D1", 3.0, efficiency=0.25)])
@@ -153,13 +180,6 @@ class TestCrossingEvents:
         assert len(set(first + again)) == len(first)
         assert first[0] != dataclasses.replace(first[0], origin=first[0].origin + 1.0)
         assert "pieces=(Piece(" in repr(first[0]) and "array" not in repr(first[0])
-
-    @pytest.mark.parametrize("name", ["detectors", "guns", "preferred"])
-    def test_reachable_are_the_instruments_of_the_events(self, name):
-        sc = _stream_scenarios()[name]
-        instruments = {ev.instrument for ev in crossing_events(sc) if ev.instrument is not None}
-        found = reachable(sc)
-        assert found and len(found) == len(instruments) and set(found) == instruments
 
 
 class TestSampling:
@@ -257,6 +277,12 @@ class TestSampling:
         assert abs(rate - 0.5) < 3.0 * np.sqrt(0.25 / 40000)
 
 
+def _scatter(scenario):
+    """Scatter positions of the scenario's trials that land on its first instrument, a gun."""
+    trials = run_trials(scenario)
+    return trials.scatter_x[trials.instrument == 0]
+
+
 class TestElectronGuns:
     def test_single_gun_half_rate(self):
         sc = Scenario(
@@ -285,16 +311,11 @@ class TestElectronGuns:
         assert left.any() and np.all(outcomes.flag[left] == Trials.FLAGS.index("no-overlap"))
         assert np.all(outcomes.instrument[left] == -1)
 
-    @pytest.mark.parametrize("gun_id", ["D1", "nope"])
-    def test_scatter_positions_needs_a_gun(self, gun_id):
-        sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[detector("D1", 3.0)])
-        with pytest.raises(ValueError, match=f"'{gun_id}' is not an electron gun"):
-            scatter_positions(sc, gun_id, 10)
-
     def test_scatter_positions_within_support(self):
-        sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[gun("EG", 4.2, 5.0)])
-        xs = scatter_positions(sc, "EG", 5000, seed=7)
-        assert xs.min() >= 4.5 - 1e-9 and xs.max() <= 5.0 + 1e-9
+        sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[gun("EG", 4.2, 5.0)],
+                      trials=10000, seed=7)
+        xs = _scatter(sc)
+        assert len(xs) > 4500 and xs.min() >= 4.5 - 1e-9 and xs.max() <= 5.0 + 1e-9
 
     def test_scatter_during_reflection_lies_on_the_pieces(self):
         # shot at t = 4.75, s = 0.25 into the reflection: pieces on [-0.75, 0] from D
@@ -303,17 +324,16 @@ class TestElectronGuns:
         (event,) = [ev for ev in crossing_events(sc) if ev.instrument is not None]
         assert event.origin == 5.0 and event.pieces == reflection_pieces(MODE, 0.25)
         lo, hi = event.origin + event.pieces[0].lo, event.origin + event.pieces[-1].hi
-        trials = run_trials(sc)
-        xs = trials.scatter_x[trials.instrument == 0]
-        assert len(xs) > 900
-        for sample in (xs, scatter_positions(sc, "EGM", 5000, seed=2)):
-            assert lo <= sample.min() and sample.max() <= hi
+        xs = _scatter(sc)
+        assert len(xs) > 900 and lo <= xs.min() and xs.max() <= hi
 
     def test_scatter_follows_cos_squared_at_half(self):
         from scipy.stats import chisquare
 
-        sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[gun("EG", 4.2, 5.0)])
-        xs = scatter_positions(sc, "EG", 50000, seed=3)
+        # half the trials land on the gun: twice the draws give ~50000 scatters
+        sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[gun("EG", 4.2, 5.0)],
+                      trials=100_000, seed=3)
+        xs = _scatter(sc)
         edges = np.linspace(4.5, 5.0, 26)
         observed, _ = np.histogram(xs, bins=edges)
         # expected from the antiderivative of 4 cos^2(pi (x - 5))
@@ -333,14 +353,13 @@ class TestElectronGuns:
         right = outcomes.branch == Trials.BRANCHES.index(Branch.RIGHT)
         assert right.any() and np.all(outcomes.flag[right] == Trials.FLAGS.index("no-overlap"))
         assert np.all(outcomes.instrument[right] == -1)
-        assert reachable(mirrored) == []
-        with pytest.raises(ValueError, match="no pulse overlap"):
-            scatter_positions(mirrored, "EG", 10)
+        assert {ev.instrument for ev in crossing_events(mirrored)} - {None} == set()
 
     def test_shot_before_mirror_contact_scatters_on_incident_pulse(self):
-        sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[gun("EG", 3.2, 3.0)])
-        xs = scatter_positions(sc, "EG", 2000, seed=5)
-        assert xs.min() >= 2.5 and xs.max() <= 3.5
+        sc = Scenario(mode=MODE, mirror_distance=5.0, instruments=[gun("EG", 3.2, 3.0)],
+                      trials=4000, seed=5)
+        xs = _scatter(sc)
+        assert len(xs) > 1800 and xs.min() >= 2.5 and xs.max() <= 3.5
 
 
 class TestSamplerTable:

@@ -178,26 +178,26 @@ def _carrying_powers_of_ten() -> list[float]:
 
 
 class TestG17Digits:
-    """The kernel's digits and exponents against '%.16e', where %.17g is positional."""
+    """The kernel's digits and exponents against '%.16e', on its domain 1e-4 <= |v| < 1e17
+    (%.17g's positional cells)."""
 
     @staticmethod
     def _check(values):
         values = np.asarray(values, dtype=np.float64)
+        assert np.all((np.abs(values) >= 1e-4) & (np.abs(values) < 1e17))
         digits, x = g17_digits(values)
         for value, d, e in zip(values.tolist(), digits.tolist(), x.tolist()):
             mantissa, exponent = ("%.16e" % value).split("e")
-            if -4 <= int(exponent) <= 16:
-                assert (d, e) == (int(mantissa.lstrip("-").replace(".", "")), int(exponent)), value
-            else:
-                assert not -4 <= e <= 16, value
+            assert (d, e) == (int(mantissa.lstrip("-").replace(".", "")), int(exponent)), value
 
     def test_log_uniform(self):
         rng = np.random.default_rng(30)
-        self._check(10.0 ** rng.uniform(-5, 18, 20_000) * rng.choice([-1.0, 1.0], 20_000))
+        values = 10.0 ** rng.uniform(-4, 17, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+        self._check(values[np.abs(values) < 1e17])
 
     def test_powers_of_ten(self):
-        values = _neighbours([10.0**e for e in range(-5, 18)])
-        self._check(values[(values >= 1e-5) & (values < 1e18)])
+        values = _neighbours([10.0**e for e in range(-4, 18)])
+        self._check(values[(values >= 1e-4) & (values < 1e17)])
 
     def test_no_positional_cell_carries(self):
         # the kernel has no carry step: every double whose 17 digits round up to
