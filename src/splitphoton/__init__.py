@@ -18,11 +18,8 @@ from .experiments import (
 )
 from .reflection import (
     DiscontinuityRecord,
-    DomainSplit,
     EnergyLedger,
-    density,
     discontinuities,
-    domains,
     energy_ledger,
     reflect_field,
 )

@@ -12,8 +12,9 @@ or, under ``--digits17``, ``g17_slots`` (``%.17g``'s), or from one ``%``
 over a small batch; int slots from ``shortest.int_slots``; label slots from
 a gather of pre-quoted labels.
 
-Exit codes: 0 success, 1 usage or parse error, 2 invariant violation, 141
-when stdout is closed early (as by ``| head``).
+Exit codes: 0 success, 1 usage or parse error, 2 invariant violation or a
+quadrature that does not converge, 141 when stdout is closed early (as by
+``| head``).
 """
 
 from __future__ import annotations
@@ -168,10 +169,10 @@ def _located_inner_jumps(mode: ModeSpec, s_values: np.ndarray, grid: int) -> np.
     """The located inner jump at each s, NaN where none was found; the rows of
     each ``validation.row_blocks`` slice share one snapshot and one locator call."""
     cell = mode.a / (grid - 1)
-    dom = reflection.domains(mode.a, s_values)
-    far_edge = dom.rw[0]
+    rw, sw = reflection.reflection_pieces(mode, s_values)
+    far_edge = rw.lo
     # near s = a/2 the inner jump sits on the far edge: keep that edge's candidates
-    keep_far = np.abs(dom.sw[0] - far_edge) <= 1.5 * cell
+    keep_far = np.abs(sw.lo - far_edge) <= 1.5 * cell
     located = np.full(len(s_values), np.nan)
     for block in validation.row_blocks(len(s_values), grid):
         snap = reflection_snapshot(mode, s_values[block], n_points=grid)
@@ -189,7 +190,7 @@ def cmd_track(args) -> int:
     if args.grid < validation.MIN_GRID:
         raise ValueError(f"grid too coarse: need at least {validation.MIN_GRID} points")
     s_values = np.linspace(0.0, mode.a, args.steps + 2)[1:-1]
-    x_analytic = reflection.inner_discontinuity_position(mode.a, s_values)
+    x_analytic = reflection.reflection_pieces(mode, s_values)[1].lo  # the RW/SW border
     x_located = _located_inner_jumps(mode, s_values, args.grid)
     residual = np.abs(x_located - x_analytic)
     _write_csv(args.out, ["s", "x_D_analytic", "x_D_located", "residual"],
@@ -379,6 +380,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except validation.QuadratureError as exc:  # an oracle that did not converge
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

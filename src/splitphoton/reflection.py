@@ -7,8 +7,9 @@ propagated by the trailing edge since first contact (t = s/c), running from
 next to the mirror while the trailing part keeps running; in the second
 stage (s >= a/2) the running region holds the already-reflected front.
 
-At every s the field is two ``wavestate.Piece``s (``reflection_pieces``):
-the running wave on ``domains(a, s).rw``, the standing wave on ``.sw``.
+At every s the field is a ``running_piece`` (RW) and a ``standing_piece`` (SW),
+``reflection_pieces``; their shared bound -min(s, a - s), the RW/SW border, is
+where the co-moving inner derivative discontinuities sit.
 
 Field values carry the 1/sqrt(a) prefactor so that E^2 + B^2 integrates
 to 1 over the instantaneous support.  The energy ledger is reported in
@@ -24,32 +25,21 @@ from typing import Union
 
 import numpy as np
 
-from .wavestate import FieldSample, ModeSpec, Piece, derivative, evaluate, limits
+from .wavestate import (FieldSample, ModeSpec, Piece, derivative, evaluate, limits,
+                        running_piece, standing_piece)
 
 __all__ = [
-    "DomainSplit",
     "Quantity",
     "JumpKind",
     "DiscontinuityRecord",
     "EnergyLedger",
     "reflection_pieces",
     "reflect_field",
-    "density",
-    "domains",
     "discontinuities",
     "energy_ledger",
-    "inner_discontinuity_position",
 ]
 
 ArrayLike = Union[float, np.ndarray]
-
-
-@dataclass(frozen=True)
-class DomainSplit:
-    """Instantaneous RW/SW intervals; a zero-length interval marks a point."""
-
-    rw: tuple[float, float]
-    sw: tuple[float, float]
 
 
 class Quantity(str, Enum):
@@ -86,11 +76,6 @@ class EnergyLedger:
     def total(self) -> float:
         return self.e_rw + self.e_sw
 
-    def normalized(self) -> "EnergyLedger":
-        """Same ledger scaled so the grand total is 1."""
-        a = self.total
-        return EnergyLedger(self.e_rw / a, self.e_E_sw / a, self.e_B_sw / a, self.e_sw / a)
-
 
 def _check_s(a: float, s: ArrayLike) -> np.ndarray:
     """s as a float array (0-d for a scalar), once every entry lies in [0, a]."""
@@ -101,41 +86,24 @@ def _check_s(a: float, s: ArrayLike) -> np.ndarray:
     return s
 
 
-def domains(a: float, s: ArrayLike) -> DomainSplit:
-    """RW/SW intervals at moment s (arrays for an array of s); degenerate ones are points."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    s = _check_s(a, s)
-    first = s <= a / 2
-    inner = np.where(first, -s, s - a)[()]
-    return DomainSplit(rw=(np.where(first, -a + s, -s)[()], inner), sw=(inner, 0.0))
-
-
-def inner_discontinuity_position(a: float, s: ArrayLike) -> ArrayLike:
-    """Location of the co-moving inner derivative discontinuities, -min(s, a-s):
-    the RW/SW border ``domains(a, s).sw[0]``."""
-    return domains(a, s).sw[0]
-
-
 def reflection_pieces(mode: ModeSpec, s: ArrayLike) -> tuple[Piece, Piece]:
     """Running-wave and standing-wave pieces at moment s, prefactor 1/sqrt(a) included.
 
     SW: E = -2 sin(kx) cos(ks), B = 2 cos(kx) sin(ks).  RW: E = B = -sin k(x-s)
     in the first stage; E = -sin k(x+s), B = +sin k(x+s) in the second, which
-    keeps both fields continuous at the RW/SW border for every mode.  A column
+    keeps both fields continuous at the RW/SW border for every mode.  At s = a/2
+    the RW is the point -a/2; at s in {0, a} the SW is the point 0.  A column
     of s, shape (rows, 1), gives a stack of tables for ``evaluate``.
     """
-    a, k = mode.a, mode.k
+    a = mode.a
     pref = 1.0 / math.sqrt(a)
-    s = np.asarray(s, dtype=float)
-    dom = domains(a, s)  # also rejects s outside [0, a]
+    s = _check_s(a, s)
     first = s <= a / 2
-    ks = k * s
-    phase = np.where(first, -ks, ks)[()]
-    rw = Piece(dom.rw[0], dom.sw[0], -pref, phase, np.where(first, -pref, pref)[()], phase)
-    sw = Piece(dom.sw[0], 0.0, -2.0 * pref * np.cos(ks), 0.0,
-               2.0 * pref * np.sin(ks), 0.5 * math.pi)
-    return rw, sw
+    inner = np.where(first, -s, s - a)[()]
+    ks = mode.k * s
+    rw = running_piece(np.where(first, -a + s, -s)[()], inner, -pref,
+                       np.where(first, -ks, ks)[()], np.where(first, 1.0, -1.0))
+    return rw, standing_piece(inner, 0.0, -2.0 * pref, ks)
 
 
 def reflect_field(mode: ModeSpec, s: ArrayLike, x: ArrayLike) -> FieldSample:
@@ -144,12 +112,6 @@ def reflect_field(mode: ModeSpec, s: ArrayLike, x: ArrayLike) -> FieldSample:
     A column of s, shape (rows, 1), against x of shape (rows, m) gives row i at s[i].
     """
     return evaluate(reflection_pieces(mode, s), mode.k, x)
-
-
-def density(mode: ModeSpec, s: float, x: ArrayLike) -> ArrayLike:
-    """Probability density E^2 + B^2 of the reflecting pulse."""
-    e, b = reflect_field(mode, s, x)
-    return e * e + b * b
 
 
 def discontinuities(mode: ModeSpec, s: float) -> list[DiscontinuityRecord]:

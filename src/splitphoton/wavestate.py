@@ -6,9 +6,10 @@ counter-propagating length-``a`` pulses, and the kinematic bookkeeping
 instrument of a scenario meets which part of the pulse is not worked out
 here: ``experiments.crossing_events`` is the one table of those times.
 
-Every field regime is a short tuple of sinusoid ``Piece``s; one evaluator,
-derivative rule, one-sided ``limits`` and exact ``cumulative`` integral of
-E^2 + B^2 serve them all, here and in ``reflection``.
+Every field regime is a short tuple of sinusoid ``Piece``s from two builders,
+``running_piece`` (B = +E moving right, B = -E moving left) and ``standing_piece``
+(the sum of two of those); one evaluator, derivative rule, one-sided ``limits``
+and exact ``cumulative`` integral of E^2 + B^2 serve them all, here and in ``reflection``.
 
 Units are normalized: lengths in units of the cavity length and times in
 units of cavity-length / wave-speed (defaults a=1, c=1).  The amplitude
@@ -33,6 +34,8 @@ __all__ = [
     "derivative",
     "limits",
     "cumulative",
+    "running_piece",
+    "standing_piece",
     "eigenmode_pieces",
     "pulse_pieces",
     "split_pieces",
@@ -167,11 +170,29 @@ def cumulative(pieces: tuple[Piece, ...], k: float, x: ArrayLike) -> ArrayLike:
     return total
 
 
+def running_piece(lo: ArrayLike, hi: ArrayLike, amp: ArrayLike, phase: ArrayLike,
+                  direction: ArrayLike) -> Piece:
+    """A running wave on [lo, hi): E = amp sin(kx + phase), B = direction * E.
+
+    direction is +1 for a right-mover and -1 for a left-mover: in 1-D vacuum
+    E + B is a function of x - ct and E - B one of x + ct.
+    """
+    return Piece(lo, hi, amp, phase, direction * amp, phase)
+
+
+def standing_piece(lo: ArrayLike, hi: ArrayLike, amp: ArrayLike, wt: ArrayLike) -> Piece:
+    """A standing wave on [lo, hi) at phase wt: E = amp cos(wt) sin(kx) and
+    B = -amp sin(wt) cos(kx).
+
+    It is the sum of the ``running_piece``s (amp/2) sin(kx - wt) moving right
+    and (amp/2) sin(kx + wt) moving left.
+    """
+    return Piece(lo, hi, amp * np.cos(wt), 0.0, -amp * np.sin(wt), 0.5 * math.pi)
+
+
 def eigenmode_pieces(mode: ModeSpec, t: float) -> tuple[Piece]:
     """The trapped eigenmode at time t: one standing-wave piece on [0, a]."""
-    amp = mode.amplitude
-    wt = mode.omega * t
-    return (Piece(0.0, mode.a, amp * math.cos(wt), 0.0, amp * math.sin(wt), 0.5 * math.pi),)
+    return (standing_piece(0.0, mode.a, mode.amplitude, mode.omega * t),)
 
 
 def pulse_pieces(mode: ModeSpec, lo: float, direction: int) -> tuple[Piece]:
@@ -179,16 +200,14 @@ def pulse_pieces(mode: ModeSpec, lo: float, direction: int) -> tuple[Piece]:
 
     B = direction * E: +1 for a right-moving pulse, -1 for a left-moving one.
     """
-    half = 0.5 * mode.amplitude
-    phase = -mode.k * lo
-    return (Piece(lo, lo + mode.a, half, phase, direction * half, phase),)
+    return (running_piece(lo, lo + mode.a, 0.5 * mode.amplitude, -mode.k * lo, direction),)
 
 
 def split_pieces(mode: ModeSpec, t: float) -> tuple[Piece, ...]:
     """Pieces of the split state: pulses on [-ct, a - ct] (left) and [ct, a + ct] (right).
 
     While the pulses overlap, their sum on [ct, a - ct] is the standing wave
-    E = A cos(kct) sin(kx), B = -A sin(kct) cos(kx).
+    at phase kct, which is the eigenmode's piece there.
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
@@ -199,15 +218,14 @@ def split_pieces(mode: ModeSpec, t: float) -> tuple[Piece, ...]:
     (right,) = pulse_pieces(mode, ct, 1)
     if left.hi <= right.lo:
         return (left, right)
-    amp, kct = mode.amplitude, mode.k * ct
-    both = Piece(ct, left.hi, amp * math.cos(kct), 0.0, -amp * math.sin(kct), 0.5 * math.pi)
+    both = standing_piece(ct, left.hi, mode.amplitude, mode.k * ct)
     return (left._replace(hi=ct), both, right._replace(lo=left.hi))
 
 
 def eigenmode(mode: ModeSpec, x: ArrayLike, t: float) -> FieldSample:
     """Trapped cavity eigenmode; zero outside [0, a].
 
-    E = A sin(kx) cos(wt), B = A cos(kx) sin(wt) with A = sqrt(2/a).
+    E = A sin(kx) cos(wt), B = -A cos(kx) sin(wt) with A = sqrt(2/a), a ``standing_piece``.
     """
     return evaluate(eigenmode_pieces(mode, t), mode.k, x)
 
@@ -233,8 +251,8 @@ def split_state(mode: ModeSpec, x: ArrayLike, t: float) -> FieldSample:
     """Post-release split state: two counter-propagating truncated pulses.
 
     E = (A/2)[g(x - ct) + g(x + ct)], B = (A/2)[g(x - ct) - g(x + ct)]
-    with g(u) = sin(ku) on [0, a] and zero elsewhere.  At t = 0 this
-    coincides pointwise with ``eigenmode`` and stays normalized for all t.
+    with g(u) = sin(ku) on [0, a] and zero elsewhere.  It equals ``eigenmode``
+    on [ct, a - ct] (everywhere at t = 0) and stays normalized for all t.
     """
     return evaluate(split_pieces(mode, t), mode.k, x)
 

@@ -23,12 +23,7 @@ from splitphoton.experiments import (
     run,
     run_trials,
 )
-from splitphoton.reflection import (
-    domains,
-    energy_ledger,
-    inner_discontinuity_position,
-    reflect_field,
-)
+from splitphoton.reflection import energy_ledger, reflect_field, reflection_pieces
 from splitphoton.snapshot import reflection_snapshot
 from splitphoton.validation import integrate, locate_jumps
 from splitphoton.wavestate import eigenmode
@@ -66,13 +61,13 @@ def test_criterion_1_energy_conservation():
     worst_quad = 0.0
     mode = ModeSpec()
     for s in (0.05, 0.25, 0.5, 0.75, 0.95):
-        dom = domains(mode.a, s)
+        rw, sw = reflection_pieces(mode, s)
 
         def rho(x, _s=s):
             e, b = reflect_field(mode, _s, x)
             return np.asarray(e) ** 2 + np.asarray(b) ** 2
 
-        q = integrate(rho, dom.rw[0], 0.0, tol=1e-11, breakpoints=[dom.sw[0]]).value
+        q = integrate(rho, rw.lo, 0.0, tol=1e-11, breakpoints=[sw.lo]).value
         worst_quad = max(worst_quad, abs(mode.a * q - mode.a))
     assert worst_quad < 1e-8
     elapsed = time.perf_counter() - t0
@@ -88,8 +83,8 @@ def test_criterion_2_midpoint_collapse():
     mode = ModeSpec()
     led = energy_ledger(mode, 0.5)
     assert abs(led.e_rw) < 1e-12
-    lo, hi = domains(mode.a, 0.5).rw
-    assert hi - lo == 0.0  # the running-wave domain shrinks to a point
+    rw, _ = reflection_pieces(mode, 0.5)
+    assert rw.hi - rw.lo == 0.0  # the running-wave domain shrinks to a point
     snap = reflection_snapshot(mode, 0.5, n_points=1024)
     e_max = float(np.max(np.abs(snap.E)))
     assert e_max < 1e-12
@@ -108,7 +103,8 @@ def test_criterion_3_discontinuity_kinematics():
     located = []
     for s in s_values:
         snap = reflection_snapshot(mode, s, n_points=grid)
-        far_edge = domains(mode.a, s).rw[0]
+        rw, sw = reflection_pieces(mode, s)
+        far_edge = rw.lo
         inner = [
             j
             for j in locate_jumps(snap)[0]
@@ -116,14 +112,14 @@ def test_criterion_3_discontinuity_kinematics():
         ]
         assert inner, f"no inner jump located at s={s}"
         best = max(inner, key=lambda j: j.score).location
-        assert abs(best - inner_discontinuity_position(mode.a, s)) <= cell
+        assert abs(best - sw.lo) <= cell
         located.append(best)
     located = np.asarray(located)
     # V-shaped track: away from the mirror until s=a/2, then back
     half = len(located) // 2
     assert np.all(np.diff(located[:half]) < 0)  # receding
     assert np.all(np.diff(located[-half:]) > 0)  # returning
-    deepest = min(inner_discontinuity_position(mode.a, s) for s in s_values)
+    deepest = min(reflection_pieces(mode, s)[1].lo for s in s_values)
     assert located.min() == pytest.approx(deepest, abs=2 * cell)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -141,7 +137,7 @@ def test_criterion_4_continuity_with_derivative_jump():
     for s in np.linspace(0.05, 0.95, 19):
         if abs(s - 0.5) < 1e-9:
             continue
-        border = inner_discontinuity_position(mode.a, s)
+        border = reflection_pieces(mode, s)[1].lo
         below = np.array([border - 2 * eps, border - eps])
         above = np.array([border + eps, border + 2 * eps])
         for side in (0, 1):
@@ -154,7 +150,7 @@ def test_criterion_4_continuity_with_derivative_jump():
     assert worst_value_jump < 1e-6  # continuity, limited by the 1e-7 probe offset
     # exact statement, via one-sided analytic limits at the border
     for s in (0.2, 0.35, 0.7):
-        border = inner_discontinuity_position(mode.a, s)
+        border = reflection_pieces(mode, s)[1].lo
         e_lo, b_lo = reflect_field(mode, s, border - 1e-12)
         e_hi, b_hi = reflect_field(mode, s, border + 1e-12)
         assert abs(e_lo - e_hi) < 1e-11 and abs(b_lo - b_hi) < 1e-11
@@ -203,13 +199,13 @@ def test_criterion_6_normalization_across_regimes():
         worst = max(worst, abs(q.value - 1.0))
 
     for s in (0.1, 0.25, 0.5, 0.9):
-        dom = domains(mode.a, s)
+        rw, sw = reflection_pieces(mode, s)
 
         def rho_ref(x, _s=s):
             e, b = reflect_field(mode, _s, x)
             return np.asarray(e) ** 2 + np.asarray(b) ** 2
 
-        q = integrate(rho_ref, dom.rw[0], 0.0, tol=1e-11, breakpoints=[dom.sw[0]])
+        q = integrate(rho_ref, rw.lo, 0.0, tol=1e-11, breakpoints=[sw.lo])
         worst = max(worst, abs(q.value - 1.0))
 
     assert worst < 1e-8

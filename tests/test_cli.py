@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitphoton import experiments
+from splitphoton import experiments, validation
 from splitphoton import ModeSpec, boundary_check
 from splitphoton.cli import (_CSV_CHUNK, _REPR_KERNEL_MIN, _wall_tolerances, _write_csv,
                              build_parser, main)
@@ -420,6 +420,15 @@ class TestCheck:
                                   env={**os.environ, "PYTHONPATH": os.path.join(
                                       os.path.dirname(__file__), os.pardir, "src")})
             assert proc.returncode in (0, 1, 2) and "Traceback" not in proc.stderr
+
+    def test_unconverged_quadrature_exits_two_with_one_error_line(self, capsys, monkeypatch):
+        def diverges(*args, **kwargs):
+            raise validation.QuadratureError("did not converge", validation.QuadResult(0.0, 1.0, 9))
+
+        monkeypatch.setattr(validation, "integrate", diverges)
+        assert main(["check"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: did not converge\n"
 
 
 class TestUsage:

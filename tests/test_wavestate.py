@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitphoton import (
@@ -14,6 +14,7 @@ from splitphoton import (
     split_state,
     wavestate,
 )
+from splitphoton.reflection import reflection_pieces
 from splitphoton.validation import integrate
 from splitphoton.wavestate import Piece, cumulative, eigenmode_pieces, evaluate, split_pieces
 
@@ -121,7 +122,7 @@ class TestEigenmode:
         x = np.linspace(0.0, 1.0, 101)
         e, b = eigenmode(mode, x, t)
         assert np.max(np.abs(e)) < 1e-12
-        assert np.allclose(b, mode.amplitude * np.cos(np.pi * x) * 1.0, atol=1e-12)
+        assert np.allclose(b, -mode.amplitude * np.cos(np.pi * x), atol=1e-12)
 
     def test_amplitude_fixed_by_normalization_oracle(self):
         # quadrature pins the peak value at sqrt(2) for a=1
@@ -236,11 +237,85 @@ class TestSplitState:
         with pytest.raises(ValueError, match="finite"):
             split_state(ModeSpec(), 0.5, t)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 200), a=st.floats(1e-3, 1e3), c=st.floats(1e-3, 1e3),
+           frac=st.floats(0.0, 0.5, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+    def test_equals_eigenmode_while_pulses_overlap(self, n, a, c, frac, seed):
+        # causality: on [ct, a - ct] neither wall has been felt, so the released
+        # state is still the cavity mode; at t = 0 both B vanish, so t must not
+        # be a multiple of a half period, where B of either sign is zero
+        mode = ModeSpec(a=a, n=n, c=c)
+        t = frac * a / c
+        assume(abs(n * frac - round(n * frac)) > 0.01)  # omega t / pi = n ct / a
+        ct = c * t
+        x = np.random.default_rng(seed).uniform(ct, a - ct, 256)
+        split, cavity = split_state(mode, x, t), eigenmode(mode, x, t)
+        tol = 1e-12 * (1.0 + mode.k * a) * mode.amplitude
+        assert np.max(np.abs(split.E - cavity.E)) <= tol
+        assert np.max(np.abs(split.B - cavity.B)) <= tol
+
     @settings(max_examples=25, deadline=None)
     @given(t=st.floats(0.0, 4.0), x=st.floats(-6.0, 6.0))
     def test_fields_always_finite(self, t, x):
         e, b = split_state(ModeSpec(), x, t)
         assert np.isfinite(e) and np.isfinite(b)
+
+
+def _characteristic_residual(pieces_at, k, c, t, tau, x_right, x_left):
+    """Largest |(E+B)(x, t+tau) - (E+B)(x - c tau, t)| over x_right and
+    |(E-B)(x, t+tau) - (E-B)(x + c tau, t)| over x_left, from ``evaluate`` on
+    the tables ``pieces_at(t)`` and ``pieces_at(t + tau)`` only."""
+    now, later = pieces_at(t), pieces_at(t + tau)
+    (e1, b1), (e0, b0) = evaluate(later, k, x_right), evaluate(now, k, x_right - c * tau)
+    right = np.abs((e1 + b1) - (e0 + b0))
+    (e1, b1), (e0, b0) = evaluate(later, k, x_left), evaluate(now, k, x_left + c * tau)
+    left = np.abs((e1 - b1) - (e0 - b0))
+    return max(right.max(), left.max())
+
+
+class TestCharacteristics:
+    """In 1-D vacuum E + B is a function of x - ct and E - B one of x + ct.
+
+    Each regime's tables at t and t + tau must carry both along their
+    characteristics wherever the segment meets no wall and no mirror.  tau is
+    kept off multiples of a half period, where sin(kx) and cos(kx) both repeat
+    up to one common sign and a field of either B sign would pass.
+    """
+
+    @pytest.mark.parametrize("regime", ["eigenmode", "split", "reflection"])
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), a=st.floats(1e-3, 1e3), c=st.floats(1e-3, 1e3),
+           t_frac=st.floats(0.0, 1.0), tau_frac=st.floats(0.0, 1.0, exclude_min=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fields_move_along_characteristics(self, regime, n, a, c, t_frac, tau_frac,
+                                               seed):
+        mode = ModeSpec(a=a, n=n, c=c)
+        rng = np.random.default_rng(seed)
+        if regime == "eigenmode":
+            # walls at 0 and a: the segment stays inside the cavity
+            t, tau = t_frac * a / c, tau_frac * a / c
+            shift = c * tau
+            x_right, x_left = rng.uniform(shift, a, 256), rng.uniform(0.0, a - shift, 256)
+            pieces_at = lambda u: eigenmode_pieces(mode, u)
+        elif regime == "split":
+            # free space: every x, across the overlap and both pulses
+            t, tau = 2.0 * t_frac * a / c, 2.0 * tau_frac * a / c
+            reach = a + c * (t + tau)
+            x_right = x_left = rng.uniform(-reach, reach, 256)
+            pieces_at = lambda u: split_pieces(mode, u)
+        else:
+            # the pieces are a function of s = ct in [0, a]; the mirror is at 0
+            c = 1.0
+            t = t_frac * a
+            tau = tau_frac * (a - t)
+            assume(tau > 0.0 and t + tau <= a)
+            x_right, x_left = rng.uniform(-a, 0.0, 256), rng.uniform(-a, -tau, 256)
+            pieces_at = lambda u: reflection_pieces(mode, u)
+        half_periods = mode.k * c * tau / math.pi
+        assume(abs(half_periods - round(half_periods)) > 0.01)
+        residual = _characteristic_residual(pieces_at, mode.k, c, t, tau, x_right, x_left)
+        x_max = max(np.max(np.abs(x_right)), np.max(np.abs(x_left))) + c * tau
+        assert residual <= 1e-15 * (1.0 + mode.k * x_max) * mode.amplitude
 
 
 class TestKinematics:
