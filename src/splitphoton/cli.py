@@ -4,13 +4,16 @@ Subcommands: snapshot | energy | track | dce | check.  All numeric CSV
 output uses shortest round-trip decimals (Python ``repr``) by default;
 ``--digits17`` switches to fixed 17-significant-digit rendering.  Every
 command writes its CSV through ``_write_csv``, a batch of rows at a time.
-Each column of a batch becomes fixed-width byte slots holding right-aligned
-cell text with zeros left of it; dropping every zero byte of the slots and
-the separator columns yields the batch's rows.  Float slots come from one of
-``shortest``'s two vectorised writers, ``repr_slots`` (``repr``'s digits)
-or, under ``--digits17``, ``g17_slots`` (``%.17g``'s), or from one ``%``
-over a small batch; int slots from ``shortest.int_slots``; label slots from
-a gather of pre-quoted labels.
+Each column gets a slot width once per table, from the column itself: the
+widest int's digits and sign, 24 bytes for floats (0 for a column of NaNs
+only), the longest quoted label.  Each column of a batch becomes slots of
+that width holding right-aligned cell text with zeros left of it; dropping
+every zero byte of the slots and the separator columns yields the batch's
+rows.  Float slots come from one of ``shortest``'s two vectorised writers,
+``repr_slots`` (``repr``'s digits) or, under ``--digits17``, ``g17_slots``
+(``%.17g``'s), or from one ``%`` over a small batch; int slots from
+``shortest.int_slots``; label slots from a gather of pre-quoted labels, one
+whole record a cell.
 
 Exit codes: 0 success, 1 usage or parse error, 2 invariant violation or a
 quadrature that does not converge, 141 when stdout is closed early (as by
@@ -37,14 +40,15 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as a shell reports it
-# CSV rows per batch: each column of a batch becomes zero-padded text slots in
-# one buffer of ~100 bytes a row, compacted through a nonzero mask made per batch,
-# and the vectorised float writer holds ~350 bytes a value while it runs.  A float
-# writer call costs ~0.13-0.17 ms on 16 snapshot cells, ~0.35-0.5 ms on 2048 and
-# ~0.55-0.6 ms on 4096 (2-core x86), so much of its cost is fixed: 4096 rows take
-# a 1e5-point snapshot from 196 calls to 100 and its wall time down by ~20%, for
-# ~0.3 MB more peak RSS in the field-grid benchmark; 8192 rows were no faster
-# there and added ~1.7 MB
+# CSV rows per batch: each column of a batch becomes zero-padded text slots in one
+# buffer, its row the sum of the column widths plus separators (100 bytes for a
+# 4-column snapshot, 50 for a 20000-trial two-detector ``dce``), compacted through a
+# nonzero mask made per batch, and the vectorised float writer holds ~350 bytes a
+# value while it runs.  A float writer call costs ~0.13-0.17 ms on 16 snapshot cells,
+# ~0.35-0.5 ms on 2048 and ~0.55-0.6 ms on 4096 (2-core x86), so much of its cost is
+# fixed: 4096 rows take a 1e5-point snapshot from 196 calls to 100 and its wall time
+# down by ~20%, for ~0.3 MB more peak RSS in the field-grid benchmark; 8192 rows
+# were no faster there and added ~1.7 MB
 _CSV_CHUNK = 4096
 # below this many cells a float column is formatted by ``shortest.percent_slots``,
 # one ``%`` over ``%24r`` or ``%24.17g`` fields: a vectorised writer's fixed cost
@@ -73,7 +77,21 @@ def _quote(label: str) -> str:
     return label
 
 
-def _slots(column, lo: int, digits17: bool) -> np.ndarray:
+def _width(column) -> int:
+    """A column's slot width: a label table's width; the digit count of an int
+    column's widest magnitude, plus one when a value is negative; 0 for a float
+    column of NaNs only, ``shortest.WIDTH`` for any other."""
+    if isinstance(column, tuple):
+        return column[0].dtype.itemsize
+    if column.dtype.kind == "f":
+        return 0 if np.isnan(column).all() else shortest.WIDTH
+    if not len(column):
+        return 0
+    lo, hi = int(column.min()), int(column.max())
+    return len(str(max(hi, -lo))) + (lo < 0)
+
+
+def _slots(column, lo: int, width: int, digits17: bool) -> np.ndarray:
     """Cells ``lo`` to ``lo + _CSV_CHUNK`` of one column as (n, width) right-aligned
     text slots, zeros left of each cell's text.
 
@@ -84,22 +102,21 @@ def _slots(column, lo: int, digits17: bool) -> np.ndarray:
     """
     if isinstance(column, tuple):
         table, codes = column
-        return table[codes[lo:lo + _CSV_CHUNK]]
+        return table[codes[lo:lo + _CSV_CHUNK]].view(np.uint8).reshape(-1, width)
     values = column[lo:lo + _CSV_CHUNK]
     if values.dtype.kind != "f":
-        return shortest.int_slots(values)
+        return shortest.int_slots(values, width)
     if len(values) >= _REPR_KERNEL_MIN:
         return shortest.g17_slots(values) if digits17 else shortest.repr_slots(values)
     return shortest.percent_slots(values, ".17g" if digits17 else "r")
 
 
 def _label_table(labels, codes):
-    """A label column as (right-aligned quoted labels with zeros left of them, codes)."""
+    """A label column as (right-aligned quoted labels with zeros left of them, one
+    ``V{width}`` record each, codes)."""
     cells = [_quote(label).encode("utf-8") for label in labels]
     width = max(map(len, cells), default=0)
-    table = np.zeros((len(cells), width), dtype=np.uint8)
-    for row, cell in zip(table, cells):
-        row[width - len(cell):] = np.frombuffer(cell, np.uint8)
+    table = np.array([cell.rjust(width, b"\0") for cell in cells], dtype=f"V{width}")
     return table, np.asarray(codes)
 
 
@@ -113,13 +130,16 @@ def _write_csv(path: Optional[str], header: list[str], columns: list, digits17: 
     For tables of two or more columns the bytes are those ``csv.writer``
     writes with ``lineterminator="\\n"``.
 
-    Each column of a batch becomes zero-padded right-aligned text slots
-    (``_slots``) in its block of one buffer, followed by a ``,`` or newline
-    column; no text holds a zero byte, so dropping the zeros leaves the rows.
+    Each column gets a slot width once per table (``_width``), so a row holds
+    only as many bytes as its columns can need.  Each column of a batch
+    becomes zero-padded right-aligned text slots (``_slots``) in its block of
+    one buffer, followed by a ``,`` or newline column; a column of width 0
+    leaves its block empty.  No text holds a zero byte, so dropping the zeros
+    leaves the rows.
     """
     columns = [_label_table(*col) if isinstance(col, tuple) else col for col in columns]
     rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
-    widths = [col[0].shape[1] if isinstance(col, tuple) else shortest.WIDTH for col in columns]
+    widths = [_width(col) for col in columns]
     ends = np.cumsum([width + 1 for width in widths])
     text = np.empty((min(rows, _CSV_CHUNK), ends[-1]), dtype=np.uint8)
     text[:, ends - 1] = ord(",")
@@ -130,7 +150,8 @@ def _write_csv(path: Optional[str], header: list[str], columns: list, digits17: 
         for lo in range(0, rows, _CSV_CHUNK):
             n = min(rows - lo, _CSV_CHUNK)
             for col, end, width in zip(columns, ends.tolist(), widths):
-                text[:n, end - 1 - width:end - 1] = _slots(col, lo, digits17)
+                if width:
+                    text[:n, end - 1 - width:end - 1] = _slots(col, lo, width, digits17)
             stream.write(str(text[:n][text[:n] != 0], "utf-8"))
     finally:
         if close:

@@ -376,21 +376,29 @@ def _sample(scenario: Scenario, events: list[CrossingEvent], start: int, stop: i
               Trials.BRANCHES.index(ev.branch), Trials.FLAGS.index(ev.flag))
              for ev in events] + [(-1, Trials.BRANCHES.index(Branch.NONE), 0)]
     instrument, branch, flag = np.array(codes).T[:, pick]
-    click_time, scatter_x = np.full((2, len(pick)), np.nan)
+    # each event's trials as one run of ``order``, ascending in u within it: the
+    # keys 2r + u of event r lie in [2r, 2r + 1] as u < 1, so no two runs mix
+    order = np.argsort(2 * pick + u[:, 1])
+    bounds = [0] + np.cumsum(np.bincount(pick, minlength=len(events))).tolist()
+    del pick  # ``order`` and ``bounds`` replace it; freed before the inversion
+    click_time, scatter_x = np.full((2, len(order)), np.nan)
     tables = {}  # (cdf, x) of each distinct piece table a trial lands on
     for r, ev in enumerate(events):
-        hit = pick == r
-        if ev.instrument is None or not hit.any():
+        rows = order[bounds[r]:bounds[r + 1]]
+        if ev.instrument is None or not len(rows):
             continue
         if ev.pieces not in tables:
             tables[ev.pieces] = _table(scenario.mode, ev.pieces)
         cdf, x = tables[ev.pieces]
-        fraction = ev.frac_lo + u[hit, 1] * (ev.frac_hi - ev.frac_lo)
+        # inverted in ascending order: ``np.interp`` starts each search from the
+        # previous query's node, so sorted queries walk the table where random ones
+        # pay a mispredicted binary search; each value is the same either way
+        fraction = ev.frac_lo + u[rows, 1] * (ev.frac_hi - ev.frac_lo)
         if ev.instrument.kind is InstrumentKind.ELECTRON_GUN:
-            click_time[hit] = ev.t_start
-            scatter_x[hit] = np.interp(fraction, cdf, ev.origin + x)
+            click_time[rows] = ev.t_start
+            scatter_x[rows] = np.interp(fraction, cdf, ev.origin + x)
         else:
-            click_time[hit] = np.interp(fraction, cdf, ev.origin + x / scenario.mode.c)
+            click_time[rows] = np.interp(fraction, cdf, ev.origin + x / scenario.mode.c)
     expected = tuple(min(1.0, math.fsum(ev.mass for ev in events if ev.instrument is ins))
                      for ins in scenario.instruments)
     return Trials(ids, expected, instrument, click_time, scatter_x, branch, flag)
@@ -425,6 +433,8 @@ def aggregate(scenario: Scenario, outcomes: Trials) -> StatsReport:
     """Per-instrument counts, rates with 95% intervals, and the exact-rate audit."""
     z95 = 1.959963984540054  # two-sided 95% normal quantile
     n = len(outcomes)
+    if n == 0:
+        raise ValueError("cannot aggregate an empty trial range: rates need at least one trial")
     counts = np.bincount(outcomes.instrument + 1, minlength=len(scenario.instruments) + 1)
     per: dict[str, InstrumentStats] = {}
     for k, ins in enumerate(scenario.instruments):

@@ -308,20 +308,31 @@ def g17_slots(values: np.ndarray) -> np.ndarray:
 _POW10 = np.array([10**k for k in range(1, 20)], dtype=_U)  # 10**19 < 2**64
 
 
-def int_slots(values: np.ndarray) -> np.ndarray:
-    """``'%d' %`` of each int as zero-padded (n, WIDTH) right-aligned ASCII."""
+def int_slots(values: np.ndarray, width: int) -> np.ndarray:
+    """``'%d' %`` of each int as zero-padded (n, width) right-aligned ASCII,
+    1 <= width <= WIDTH.
+
+    Only the ceil(width / 8) eight-digit words that ``width`` holds are
+    formed.  A value whose text is wider than ``width``: ValueError.
+    """
     values = np.ascontiguousarray(values, dtype=np.int64)
     negative = values < 0
     magnitude = np.abs(values).view(_U)  # abs(-2**63) wraps to -2**63, 2**63 as uint64
-    groups = np.empty((len(values), 3), dtype=_U)  # digits 1-8, 9-16, 17-24 of 24
-    np.floor_divide(magnitude, _E16, out=groups[:, 0])
-    rest = magnitude - groups[:, 0] * _E16
-    np.floor_divide(rest, _U(10**8), out=groups[:, 1])
-    groups[:, 2] = rest - groups[:, 1] * _U(10**8)
-    words = (_swar8(groups) + _ASCII).astype(_LE, copy=False)
     lengths = np.searchsorted(_POW10, magnitude, side="right") + 1 + negative
-    words &= np.take(_HIGH, WIDTH - lengths, axis=0)
-    slots = words.view(np.uint8)
+    if len(values) and lengths.max() > width:
+        raise ValueError(f"an int of {lengths.max()} characters does not fit {width} columns")
+    words = -(-width // 8)
+    groups = np.empty((len(values), words), dtype=_U)  # 8-digit words, the highest first
+    for w in range(words - 1, 0, -1):
+        high = magnitude // _U(10**8)
+        groups[:, w] = magnitude - high * _U(10**8)
+        magnitude = high
+    groups[:, 0] = magnitude
+    size = 8 * words
+    text = (_swar8(groups) + _ASCII).astype(_LE, copy=False)
+    # a 24-byte slot's mask is 3 words; its last ``words`` mask the last 8 * words bytes
+    text &= np.take(_HIGH[:, 3 - words:], WIDTH - lengths, axis=0)
+    slots = text.view(np.uint8)
     negative = np.flatnonzero(negative)
-    slots.ravel()[negative * WIDTH + WIDTH - lengths[negative]] = ord("-")
-    return slots
+    slots.ravel()[negative * size + size - lengths[negative]] = ord("-")
+    return slots[:, size - width:]

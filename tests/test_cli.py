@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from splitphoton import experiments, validation
 from splitphoton import ModeSpec, boundary_check
+from splitphoton.scenario import load_scenario
 from splitphoton.cli import (_CSV_CHUNK, _REPR_KERNEL_MIN, _wall_tolerances, _write_csv,
                              build_parser, main)
 
@@ -122,6 +123,60 @@ class TestWriteCsv:
         _write_csv(str(ours), header, columns, digits17)
         _reference_csv(str(ref), header, columns, digits17)
         assert ours.read_bytes() == ref.read_bytes()
+
+
+    def _matches_reference(self, tmp_path, header, columns, digits17=False):
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        _write_csv(str(ours), header, columns, digits17)
+        _reference_csv(str(ref), header, columns, digits17)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    # an int column's width is the digit count of its widest magnitude, plus one
+    # with a minus sign: tops around each power of ten, positive only, beside a
+    # negative and as the widest magnitude of a negative
+    @pytest.mark.parametrize("top", [10**k + d for k in range(1, 19) for d in (-1, 0, 1)])
+    @pytest.mark.parametrize("sign", ["positive", "small negative", "widest negative"])
+    def test_int_widths(self, tmp_path, top, sign):
+        rows = 600
+        ints = np.arange(rows, dtype=np.int64) * (top // rows)
+        ints[[0, 17, -1]] = {"positive": [top, 0, 1], "small negative": [top, -1, 7],
+                             "widest negative": [-top, 0, top - 1]}[sign]
+        labels = (["a", "bc"], np.arange(rows) % 2)
+        self._matches_reference(tmp_path, ["i", "x", "label"],
+                                [ints, np.linspace(-1.0, 1.0, rows), labels])
+
+    @pytest.mark.parametrize("rows", [1, 9, 10, 11, _CSV_CHUNK + 1])
+    def test_int_extremes(self, tmp_path, rows):
+        ints = np.zeros(rows, dtype=np.int64)
+        ints[0] = -2**63
+        ints[-1] = 2**63 - 1 if rows > 1 else ints[-1]
+        self._matches_reference(tmp_path, ["i", "j"], [ints, np.arange(rows)])
+        self._matches_reference(tmp_path, ["i", "j"], [np.arange(rows) - rows // 2, ints])
+
+    @pytest.mark.parametrize("rows", [0, 1, _REPR_KERNEL_MIN + 1, _CSV_CHUNK + 1])
+    def test_all_nan_float_column(self, tmp_path, rows):
+        nan = np.full(rows, np.nan)
+        # alone: csv.writer quotes a row of one empty field, this writer leaves it empty
+        out = tmp_path / "alone.csv"
+        _write_csv(str(out), ["x"], [nan], False)
+        assert out.read_bytes() == b"x\n" + b"\n" * rows
+        rng = np.random.default_rng(rows)
+        floats, ints = rng.normal(size=rows), np.arange(rows)
+        labels = (["a", ""], rng.integers(-1, 2, rows))
+        for columns in ([nan, floats], [floats, nan], [ints, nan, nan, labels],
+                        [nan, labels, nan], [labels, nan, ints]):
+            for digits17 in (False, True):
+                header = [f"c{i}" for i in range(len(columns))]
+                self._matches_reference(tmp_path, header, columns, digits17)
+
+    @pytest.mark.parametrize("rows", [1, 11, _CSV_CHUNK + 1])
+    def test_empty_labels(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        blank = ([""], rng.integers(-1, 1, rows))
+        for columns in ([blank, np.arange(rows)], [rng.normal(size=rows), blank],
+                        [np.arange(rows), blank, blank, rng.normal(size=rows)]):
+            header = [f"c{i}" for i in range(len(columns))]
+            self._matches_reference(tmp_path, header, columns)
 
 
 class TestBrokenPipe:
@@ -332,6 +387,25 @@ class TestDce:
         lines = text.splitlines()[1:]
         for line, row in zip(lines, rows):  # a trial with no click has an empty, unquoted cell
             assert (row[1] == "") == line.startswith(f"{row[0]},,")
+
+    @pytest.mark.parametrize("name", ["two_detectors", "far_left_detector", "late_insertion",
+                                      "two_guns"])
+    @pytest.mark.parametrize("model", [m.value for m in experiments.OutcomeModel])
+    @pytest.mark.parametrize("trials", [10, 11, 1001])  # 10 -> 11 widens the trial column
+    def test_out_matches_reference_writer(self, tmp_path, name, model, trials):
+        path = os.path.join(SCENARIOS, f"{name}.txt")
+        out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["dce", path, "--model", model, "--trials", str(trials),
+                         "--out", str(out)]) in (0, 2)
+        sc = load_scenario(path)
+        sc.model, sc.trials = experiments.OutcomeModel(model), trials
+        run = experiments.run_trials(sc)
+        names = [ins.id for ins in sc.instruments] + [""]
+        _reference_csv(str(ref), ["trial", "instrument", "click_time", "scatter_x", "branch"],
+                       [np.arange(trials), (names, run.instrument), run.click_time,
+                        run.scatter_x, ([b.value for b in run.BRANCHES], run.branch)], False)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["dce", str(tmp_path / "nope.txt")]) == 1

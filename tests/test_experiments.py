@@ -494,6 +494,12 @@ class TestRateAudit:
         assert 0.0 < report.per_instrument["D1"].z < Z_BOUND
         assert report.rate_violations == 0
 
+    def test_empty_range_raises(self):
+        sc = _stream_scenarios()["detectors"]
+        empty = run_trials(sc, 5, 5)  # a legal range with no trials
+        with pytest.raises(ValueError, match="empty trial range"):
+            aggregate(sc, empty)
+
     def test_biased_sampler_flagged(self):
         sc = _stream_scenarios()["detectors"]
         trials = run_trials(sc)

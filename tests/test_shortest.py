@@ -11,9 +11,9 @@ from splitphoton.shortest import (WIDTH, g17_digits, g17_slots, int_slots, repr_
                                   shortest_digits)
 
 
-def _cells(slots) -> list[str]:
+def _cells(slots, width=WIDTH) -> list[str]:
     """Each slot's text: the bytes after its leading zeros."""
-    assert slots.shape[1:] == (WIDTH,)
+    assert slots.shape[1:] == (width,)
     return [bytes(row).lstrip(b"\0").decode("ascii") for row in slots]
 
 
@@ -336,8 +336,8 @@ class TestZeroCells:
         assert texts == [expected(v) for v in values.tolist()]
 
 
-def _int_texts(values) -> list[str]:
-    return _cells(int_slots(np.asarray(values, dtype=np.int64)))
+def _int_texts(values, width=WIDTH) -> list[str]:
+    return _cells(int_slots(np.asarray(values, dtype=np.int64), width), width)
 
 
 _INT64 = st.integers(-2**63, 2**63 - 1)
@@ -363,7 +363,25 @@ class TestIntSlots:
         assert _int_texts(values) == ["%d" % v for v in values.tolist()]
 
     def test_empty(self):
-        assert int_slots(np.array([], dtype=np.int64)).shape == (0, WIDTH)
+        assert int_slots(np.array([], dtype=np.int64), WIDTH).shape == (0, WIDTH)
+
+    @pytest.mark.parametrize("width", range(1, WIDTH + 1))
+    def test_every_width(self, width):
+        """At each width, the values that fit it, from one digit to all of them,
+        are those of the 24-column slots with the columns left of the text cut."""
+        top = min(10**width - 1, 2**63 - 1)  # the widest magnitude without a sign
+        low = -min(10**(width - 1) - 1, 2**63)  # and with one
+        rng = np.random.default_rng(width)
+        values = [0, 1, 9, top, top // 7, low, low // 3, -1 if width > 1 else 0]
+        values += rng.integers(low, top, 200, endpoint=True).tolist()
+        values = [v for v in values if len("%d" % v) <= width]
+        assert _int_texts(values, width) == ["%d" % v for v in values]
+
+    @pytest.mark.parametrize("values, width", [([10], 1), ([-1], 1), ([-10], 2),
+                                               ([10**8], 8), ([-2**63], 19)])
+    def test_too_narrow_raises(self, values, width):
+        with pytest.raises(ValueError, match="does not fit"):
+            int_slots(np.array(values, dtype=np.int64), width)
 
 
 class TestZeroPadding:
@@ -378,7 +396,7 @@ class TestZeroPadding:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_INT64, min_size=1, max_size=64))
     def test_int_slots(self, values):
-        self._check(int_slots(np.array(values, dtype=np.int64)))
+        self._check(int_slots(np.array(values, dtype=np.int64), WIDTH))
 
     @pytest.mark.parametrize("writer", [repr_slots, g17_slots])
     @settings(max_examples=200, deadline=None)
