@@ -5,7 +5,7 @@ output uses shortest round-trip decimals (Python ``repr``) by default;
 ``--digits17`` switches to fixed 17-significant-digit rendering.  Every
 command writes its CSV through ``_write_csv``, a batch of rows at a time.
 Each column gets a slot width once per table, from the column itself: the
-widest int's digits and sign, 24 bytes for floats (0 for a column of NaNs
+widest int's text, sign included, 24 bytes for floats (0 for a column of NaNs
 only), the longest quoted label.  Each column of a batch becomes slots of
 that width holding right-aligned cell text with zeros left of it; dropping
 every zero byte of the slots and the separator columns yields the batch's
@@ -78,17 +78,14 @@ def _quote(label: str) -> str:
 
 
 def _width(column) -> int:
-    """A column's slot width: a label table's width; the digit count of an int
-    column's widest magnitude, plus one when a value is negative; 0 for a float
-    column of NaNs only, ``shortest.WIDTH`` for any other."""
+    """A column's slot width: a label table's width; an int column's widest
+    text, sign included (``shortest.int_width``); 0 for a float column of NaNs
+    only, ``shortest.WIDTH`` for any other."""
     if isinstance(column, tuple):
-        return column[0].dtype.itemsize
+        return column[0].shape[1]
     if column.dtype.kind == "f":
         return 0 if np.isnan(column).all() else shortest.WIDTH
-    if not len(column):
-        return 0
-    lo, hi = int(column.min()), int(column.max())
-    return len(str(max(hi, -lo))) + (lo < 0)
+    return shortest.int_width(column)
 
 
 def _slots(column, lo: int, width: int, digits17: bool) -> np.ndarray:
@@ -102,7 +99,8 @@ def _slots(column, lo: int, width: int, digits17: bool) -> np.ndarray:
     """
     if isinstance(column, tuple):
         table, codes = column
-        return table[codes[lo:lo + _CSV_CHUNK]].view(np.uint8).reshape(-1, width)
+        records = table.view(f"V{width}")[:, 0]  # one record a label
+        return records[codes[lo:lo + _CSV_CHUNK]].view(np.uint8).reshape(-1, width)
     values = column[lo:lo + _CSV_CHUNK]
     if values.dtype.kind != "f":
         return shortest.int_slots(values, width)
@@ -113,11 +111,11 @@ def _slots(column, lo: int, width: int, digits17: bool) -> np.ndarray:
 
 def _label_table(labels, codes):
     """A label column as (right-aligned quoted labels with zeros left of them, one
-    ``V{width}`` record each, codes)."""
+    row each, codes)."""
     cells = [_quote(label).encode("utf-8") for label in labels]
     width = max(map(len, cells), default=0)
-    table = np.array([cell.rjust(width, b"\0") for cell in cells], dtype=f"V{width}")
-    return table, np.asarray(codes)
+    table = np.frombuffer(b"".join(cell.rjust(width, b"\0") for cell in cells), np.uint8)
+    return table.reshape(len(cells), width), np.asarray(codes)
 
 
 def _write_csv(path: Optional[str], header: list[str], columns: list, digits17: bool) -> None:

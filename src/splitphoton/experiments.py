@@ -365,21 +365,35 @@ def _comparator(scenario: Scenario, events: list[CrossingEvent]) -> list[Crossin
     return [dataclasses.replace(first, mass=1.0, flag=flag)]
 
 
+def _by_event(pick: np.ndarray, u1: np.ndarray, events: int) -> np.ndarray:
+    """The trials ordered by ``pick``, 0 to ``events``, and within each pick
+    ascending in ``u1`` to one part in ``buckets`` (4096 or finer up to 7 events).
+
+    The keys pick * buckets + floor(u1 * buckets) fit 15 bits, or past 2**15
+    events the key is the pick alone, and numpy sorts keys of 16 bits or fewer
+    by radix: no float key is held and no float sort code is mapped.
+    """
+    buckets = max(1, 2**15 // (events + 1))
+    key = np.min_scalar_type((events + 1) * buckets - 1)
+    return np.argsort(pick.astype(key) * key.type(buckets) + (u1 * buckets).astype(key),
+                      kind="stable")
+
+
 def _sample(scenario: Scenario, events: list[CrossingEvent], start: int, stop: int) -> Trials:
     """Trials [start, stop); trial i takes the doubles of Philox counter block i."""
     bits = np.random.Philox(key=scenario.seed).advance(start)
     u = np.random.Generator(bits).random((stop - start, _BLOCK))
     pick = np.searchsorted(np.cumsum([ev.mass for ev in events]), u[:, 0], side="right")
+    u1 = u[:, 1].copy()  # the one other double a trial reads; the rest of u is freed
+    del u
+    order = _by_event(pick, u1, len(events))
+    bounds = [0] + np.cumsum(np.bincount(pick, minlength=len(events))).tolist()
     # the codes end with the no-click outcome, picked where u0 passes the total mass
     ids = tuple(ins.id for ins in scenario.instruments)
     codes = [(-1 if ev.instrument is None else ids.index(ev.instrument.id),
               Trials.BRANCHES.index(ev.branch), Trials.FLAGS.index(ev.flag))
              for ev in events] + [(-1, Trials.BRANCHES.index(Branch.NONE), 0)]
     instrument, branch, flag = np.array(codes).T[:, pick]
-    # each event's trials as one run of ``order``, ascending in u within it: the
-    # keys 2r + u of event r lie in [2r, 2r + 1] as u < 1, so no two runs mix
-    order = np.argsort(2 * pick + u[:, 1])
-    bounds = [0] + np.cumsum(np.bincount(pick, minlength=len(events))).tolist()
     del pick  # ``order`` and ``bounds`` replace it; freed before the inversion
     click_time, scatter_x = np.full((2, len(order)), np.nan)
     tables = {}  # (cdf, x) of each distinct piece table a trial lands on
@@ -390,10 +404,10 @@ def _sample(scenario: Scenario, events: list[CrossingEvent], start: int, stop: i
         if ev.pieces not in tables:
             tables[ev.pieces] = _table(scenario.mode, ev.pieces)
         cdf, x = tables[ev.pieces]
-        # inverted in ascending order: ``np.interp`` starts each search from the
-        # previous query's node, so sorted queries walk the table where random ones
-        # pay a mispredicted binary search; each value is the same either way
-        fraction = ev.frac_lo + u[rows, 1] * (ev.frac_hi - ev.frac_lo)
+        # inverted in ascending order, to a bucket: ``np.interp`` starts each search
+        # from the previous query's node, so sorted queries walk the table where
+        # random ones pay a mispredicted binary search; each value is the same either way
+        fraction = ev.frac_lo + u1[rows] * (ev.frac_hi - ev.frac_lo)
         if ev.instrument.kind is InstrumentKind.ELECTRON_GUN:
             click_time[rows] = ev.t_start
             scatter_x[rows] = np.interp(fraction, cdf, ev.origin + x)

@@ -308,6 +308,23 @@ def g17_slots(values: np.ndarray) -> np.ndarray:
 _POW10 = np.array([10**k for k in range(1, 20)], dtype=_U)  # 10**19 < 2**64
 
 
+def _int_lengths(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(magnitude, negative, length) of each int64: its ``'%d' %`` text has
+    ``length`` characters, a ``-`` among them when ``negative``."""
+    negative = values < 0
+    magnitude = np.abs(values).view(_U)  # abs(-2**63) wraps to -2**63, 2**63 as uint64
+    return magnitude, negative, np.searchsorted(_POW10, magnitude, side="right") + 1 + negative
+
+
+def int_width(values: np.ndarray) -> int:
+    """The characters of the widest ``'%d' %`` text among ``values``, 0 when
+    there are none; the widest is that of the least or the greatest value."""
+    if not len(values):
+        return 0
+    ends = np.array([values.min(), values.max()], dtype=np.int64)
+    return int(_int_lengths(ends)[2].max())
+
+
 def int_slots(values: np.ndarray, width: int) -> np.ndarray:
     """``'%d' %`` of each int as zero-padded (n, width) right-aligned ASCII,
     1 <= width <= WIDTH.
@@ -315,11 +332,8 @@ def int_slots(values: np.ndarray, width: int) -> np.ndarray:
     Only the ceil(width / 8) eight-digit words that ``width`` holds are
     formed.  A value whose text is wider than ``width``: ValueError.
     """
-    values = np.ascontiguousarray(values, dtype=np.int64)
-    negative = values < 0
-    magnitude = np.abs(values).view(_U)  # abs(-2**63) wraps to -2**63, 2**63 as uint64
-    lengths = np.searchsorted(_POW10, magnitude, side="right") + 1 + negative
-    if len(values) and lengths.max() > width:
+    magnitude, negative, lengths = _int_lengths(np.ascontiguousarray(values, dtype=np.int64))
+    if len(lengths) and lengths.max() > width:
         raise ValueError(f"an int of {lengths.max()} characters does not fit {width} columns")
     words = -(-width // 8)
     groups = np.empty((len(values), words), dtype=_U)  # 8-digit words, the highest first

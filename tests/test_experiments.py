@@ -15,6 +15,7 @@ from splitphoton.experiments import (
     OutcomeModel,
     Scenario,
     Trials,
+    _by_event,
     _table,
     aggregate,
     crossing_events,
@@ -373,6 +374,24 @@ class TestSamplerTable:
         u = np.linspace(0.0, 1.0, 200_001)
         mass = cumulative(pieces, mode.k, np.interp(u, cdf, x)) / cumulative(pieces, mode.k, x[-1])
         assert np.abs(mass - u).max() <= bound * n
+
+
+class TestByEvent:
+    """``_by_event`` groups the trials by pick exactly, whatever the event count,
+    and orders each group by u1 to within one bucket."""
+
+    @pytest.mark.parametrize("events", [0, 1, 3, 7, 2**15 - 2, 2**15 - 1, 2**15, 40_000])
+    def test_groups_by_pick_and_orders_by_u1(self, events):
+        rng = np.random.default_rng(events)
+        pick = rng.integers(0, events, 50_000, endpoint=True)
+        u1 = rng.random(50_000)
+        order = _by_event(pick, u1, events)
+        assert np.array_equal(np.sort(order), np.arange(50_000))
+        assert np.all(np.diff(pick[order]) >= 0)
+        if events <= 7:
+            for r in range(events + 1):
+                run = u1[order[pick[order] == r]]
+                assert np.all(np.maximum.accumulate(run) - run < 2.0**-12)
 
 
 def _stream_scenarios():

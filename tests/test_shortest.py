@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitphoton import shortest
-from splitphoton.shortest import (WIDTH, g17_digits, g17_slots, int_slots, repr_slots,
-                                  shortest_digits)
+from splitphoton.shortest import (WIDTH, g17_digits, g17_slots, int_slots, int_width,
+                                  repr_slots, shortest_digits)
 
 
 def _cells(slots, width=WIDTH) -> list[str]:
@@ -376,6 +376,14 @@ class TestIntSlots:
         values += rng.integers(low, top, 200, endpoint=True).tolist()
         values = [v for v in values if len("%d" % v) <= width]
         assert _int_texts(values, width) == ["%d" % v for v in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_INT64, max_size=16))
+    def test_int_width_is_the_widest_text(self, values):
+        width = int_width(np.array(values, dtype=np.int64))
+        assert width == max((len("%d" % v) for v in values), default=0)
+        if values:
+            assert _int_texts(values, width) == ["%d" % v for v in values]
 
     @pytest.mark.parametrize("values, width", [([10], 1), ([-1], 1), ([-10], 2),
                                                ([10**8], 8), ([-2**63], 19)])
