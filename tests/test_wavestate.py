@@ -295,6 +295,7 @@ class TestCharacteristics:
             # walls at 0 and a: the segment stays inside the cavity
             t, tau = t_frac * a / c, tau_frac * a / c
             shift = c * tau
+            assume(shift <= a)  # c * (a / c) can round past a at tau_frac = 1
             x_right, x_left = rng.uniform(shift, a, 256), rng.uniform(0.0, a - shift, 256)
             pieces_at = lambda u: eigenmode_pieces(mode, u)
         elif regime == "split":
