@@ -13,7 +13,10 @@ rows.  Float slots come from one of ``shortest``'s two vectorised writers,
 ``repr_slots`` (``repr``'s digits) or, under ``--digits17``, ``g17_slots``
 (``%.17g``'s), or from one ``%`` over a small batch; int slots from
 ``shortest.int_slots``; label slots from a gather of pre-quoted labels, one
-whole record a cell.
+whole record a cell.  ``dce`` passes a float column that the instrument code
+determines bit for bit (a gun's click time is its shot time) as labels: each
+code's value is formatted once, by ``repr`` or ``%.17g``, and gathered, the
+same bytes the float writers give.
 
 Exit codes: 0 success, 1 usage or parse error, 2 invariant violation or a
 quadrature that does not converge, 141 when stdout is closed early (as by
@@ -233,7 +236,15 @@ def cmd_dce(args) -> int:
 
     # instrument -1 (no click) picks the trailing ""
     names = [ins.id for ins in scenario.instruments] + [""]
-    columns = [np.arange(len(trials)), (names, trials.instrument), trials.click_time,
+    # a gun trial clicks at its gun's shot time: where the instrument code fixes
+    # click_time, bit for bit (-0.0 and 0.0 never share a cell), each code's time is
+    # formatted once and gathered like a label, the bytes the float writer would write
+    click_time, table = trials.click_time, np.full(len(names), np.nan)
+    table[trials.instrument] = click_time
+    if np.array_equal(table[trials.instrument].view(np.int64), click_time.view(np.int64)):
+        form = "%.17g".__mod__ if args.digits17 else repr
+        click_time = (["" if math.isnan(t) else form(t) for t in table.tolist()], trials.instrument)
+    columns = [np.arange(len(trials)), (names, trials.instrument), click_time,
                trials.scatter_x, ([b.value for b in trials.BRANCHES], trials.branch)]
     _write_csv(args.out, ["trial", "instrument", "click_time", "scatter_x", "branch"], columns,
                args.digits17)
@@ -259,15 +270,23 @@ def _wall_tolerances(mode: ModeSpec) -> tuple[float, float]:
     at the far wall, and dB/dx carries a further factor k = n pi / a, so at
     fixed a the residuals grow as n (n + 1) / 2 <= n^2 times their n = 1
     values.  The amplitude is 1 / sqrt(a): E scales as a^-1/2 and dB/dx as
-    a^-3/2.  Both bounds are 1e-12 at a = 1, n = 1.  Where a bound or dB/dx's
-    scale k sqrt(2/a) is no positive finite double (at n = 1, a below ~8e-206
-    or above ~5e207; float * and / give inf or 0, never raise): ValueError.
+    a^-3/2.  Both bounds are 1e-12 at a = 1, n = 1.
+
+    ValueError where a bound is no positive finite double (at n = 1, a below
+    ~8e-206 or above ~5e207; float * and / give inf or 0, never raise), or is
+    not below its field's own scale, sqrt(2/a) for E and k sqrt(2/a) for
+    dB/dx: such a bound would pass a residual as large as the field.  The E
+    bound meets its scale first, where n^2 = sqrt(2) * 1e12 for any a (up to
+    rounding): at a = 1, n = 1189207 passes and 1189208 does not.
     """
     e_tol = 1e-12 * (float(mode.n) * float(mode.n)) / math.sqrt(mode.a)
     bounds = (e_tol, e_tol / mode.a)
-    if not all(0.0 < v < math.inf for v in (*bounds, mode.k * math.sqrt(2.0 / mode.a))):
+    e_scale = math.sqrt(2.0 / mode.a)
+    if not all(0.0 < bound < scale < math.inf
+               for bound, scale in zip(bounds, (e_scale, mode.k * e_scale))):
         raise ValueError(f"a = {mode.a!r}, n = {mode.n} is outside the wall check's range: "
-                         "its bounds and the scale of dB/dx must be positive finite doubles")
+                         "its bounds must be positive finite doubles below the scales of "
+                         "E and dB/dx")
     return bounds
 
 

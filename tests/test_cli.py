@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitphoton import experiments, validation
+from splitphoton import cli, experiments, shortest, validation
 from splitphoton import ModeSpec, boundary_check
 from splitphoton.scenario import load_scenario
 from splitphoton.cli import (_CSV_CHUNK, _REPR_KERNEL_MIN, _wall_tolerances, _write_csv,
@@ -37,6 +37,28 @@ position = -3.0
 trials = 400
 seed = 7
 """
+
+
+# gun files beside scenarios/two_guns.txt: a shot during the reflection, a shot
+# that misses its pulse (no-overlap) and a gun on one side only
+GUN_FILES = {
+    "gun_reflection": "[mirror]\nD = 5.0\n\n"
+                      "[electron_gun]\nid = EGL\nposition = -3.0\ninsertion = 3.0\n\n"
+                      "[electron_gun]\nid = EGM\nposition = 4.8\ninsertion = 4.75\n",
+    "gun_no_overlap": "[electron_gun]\nid = EGL\nposition = -3.0\ninsertion = 3.0\n\n"
+                      "[electron_gun]\nid = EGR\nposition = 3.0\ninsertion = 9.0\n",
+    "gun_one_side": "[mirror]\nD = 5.0\n\n"
+                    "[electron_gun]\nid = EG\nposition = 4.2\ninsertion = 5.0\n",
+}
+
+
+def _scenario_path(tmp_path, name):
+    """A file of ``scenarios/`` or of ``GUN_FILES``, by name."""
+    if name not in GUN_FILES:
+        return os.path.join(SCENARIOS, f"{name}.txt")
+    path = tmp_path / f"{name}.txt"
+    path.write_text(GUN_FILES[name])
+    return str(path)
 
 
 @pytest.fixture
@@ -429,6 +451,97 @@ class TestDce:
         assert len(rows) == 300 and all(row.split(",")[1] == "" for row in rows)
 
 
+class TestDceClickTimeLabels:
+    """``dce`` writes a click_time that the instrument code determines as labels,
+    with the bytes the float writer gives the raw column."""
+
+    @staticmethod
+    def _record_runs(patch):
+        """Patch ``experiments.run_trials`` to keep each ``Trials`` it returns, in the
+        list this returns."""
+        runs, run_trials = [], experiments.run_trials
+
+        def recorded(scenario):
+            runs.append(run_trials(scenario))
+            return runs[-1]
+
+        patch.setattr(experiments, "run_trials", recorded)
+        return runs
+
+    def _stdout(self, monkeypatch, argv, raw_click_time=False):
+        """``main``'s exit code and stdout, CSV and summary; with ``raw_click_time``
+        the writer gets the trials' float click_time column instead."""
+        out = io.StringIO()
+        with monkeypatch.context() as patch:
+            if raw_click_time:
+                runs = self._record_runs(patch)
+
+                def raw(path, header, columns, digits17):
+                    _write_csv(path, header, [*columns[:2], runs[-1].click_time, *columns[3:]],
+                               digits17)
+
+                patch.setattr(cli, "_write_csv", raw)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["dce", *argv])
+        return code, out.getvalue()
+
+    @pytest.mark.parametrize("name", ["two_detectors", "far_left_detector", "late_insertion",
+                                      "two_guns", *GUN_FILES])
+    @pytest.mark.parametrize("model", [m.value for m in experiments.OutcomeModel])
+    @pytest.mark.parametrize("digits", [[], ["--digits17"]])
+    @pytest.mark.parametrize("trials", [1, 7, _CSV_CHUNK, _CSV_CHUNK + 1, 20000])
+    def test_bytes_match_the_float_writer(self, tmp_path, monkeypatch, name, model, digits,
+                                          trials):
+        argv = [_scenario_path(tmp_path, name), "--model", model, "--trials", str(trials),
+                *digits]
+        code, text = self._stdout(monkeypatch, argv)
+        assert code in (0, 2) and text.startswith("trial,instrument,click_time,")
+        assert (code, text) == self._stdout(monkeypatch, argv, raw_click_time=True)
+
+    def test_signed_zeros_of_one_code_keep_their_signs(self, monkeypatch):
+        # both zeros under one code: compared by value, they would share one cell
+        run_trials = experiments.run_trials
+
+        def signed_zeros(scenario):
+            trials = run_trials(scenario)
+            zeros = np.where(np.arange(len(trials)) % 2, -0.0, 0.0)
+            return dataclasses.replace(
+                trials, click_time=np.where(trials.instrument >= 0, zeros, np.nan))
+
+        monkeypatch.setattr(experiments, "run_trials", signed_zeros)
+        argv = [os.path.join(SCENARIOS, "two_guns.txt"), "--trials", "1000"]
+        code, text = self._stdout(monkeypatch, argv)
+        assert ",-0.0," in text and ",0.0," in text
+        assert (code, text) == self._stdout(monkeypatch, argv, raw_click_time=True)
+
+    @pytest.mark.parametrize("name,gun", [("two_guns", True), ("gun_reflection", True),
+                                          ("gun_no_overlap", True), ("two_detectors", False),
+                                          ("far_left_detector", False)])
+    @pytest.mark.parametrize("trials", [100, 5000])  # ``percent_slots``, then the kernels
+    @pytest.mark.parametrize("digits", [[], ["--digits17"]])
+    def test_float_writer_sees_click_times_only_on_detector_files(
+            self, tmp_path, monkeypatch, name, gun, trials, digits):
+        runs, cells = self._record_runs(monkeypatch), []
+
+        def recording(writer):
+            def write(values, *args):
+                cells.append(values)
+                return writer(values, *args)
+            return write
+
+        for writer in ("repr_slots", "g17_slots", "percent_slots"):
+            monkeypatch.setattr(shortest, writer, recording(getattr(shortest, writer)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["dce", _scenario_path(tmp_path, name), "--trials", str(trials),
+                         "--out", str(tmp_path / "out.csv"), *digits]) == 0
+        (click_time,) = [run.click_time for run in runs]
+        shared = [np.shares_memory(values, click_time) for values in cells]
+        if gun:  # scatter_x still goes through the float writer, click_time never
+            assert shared and not any(shared)
+        else:
+            assert any(shared)
+
+
 class TestCheck:
     def test_all_checks_pass(self, capsys):
         assert main(["check"]) == 0
@@ -480,6 +593,21 @@ class TestCheck:
         assert main(["check", *argv]) == 1
         captured = capsys.readouterr()
         assert "outside the wall check's range" in captured.err and captured.out == ""
+
+    def test_wall_tolerances_stay_below_the_field_scale(self):
+        # the E bound 1e-12 n^2 meets E's scale sqrt(2) between these two n at a = 1
+        e_tol, b_tol = _wall_tolerances(ModeSpec(n=1189207))
+        assert e_tol < math.sqrt(2.0) and b_tol < ModeSpec(n=1189207).k * math.sqrt(2.0)
+        with pytest.raises(ValueError, match="outside the wall check's range"):
+            _wall_tolerances(ModeSpec(n=1189208))
+
+    def test_wall_line_refuses_a_bound_past_the_field(self, capsys):
+        # the bound 1e28 used to pass a residual of 1.75e20 with an OK line
+        assert main(["check", "--n", "100000000000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "outside the wall check's range" in line
 
     @settings(max_examples=60, deadline=None)
     @given(log_a=st.floats(-205.0, 207.0))

@@ -305,6 +305,27 @@ class TestElectronGuns:
                  for k, b in zip(outcomes.instrument, outcomes.branch)}
         assert sides == {("EGL", Branch.LEFT), ("EGR", Branch.RIGHT)}
 
+    # scenarios/two_guns.txt, a shot during the reflection, a shot that misses its
+    # pulse (no-overlap) and a gun on one side only
+    @pytest.mark.parametrize("mirror,guns", [
+        (None, [gun("EGL", -3.0, 3.0), gun("EGR", 3.0, 2.8)]),
+        (5.0, [gun("EGL", -3.0, 3.0), gun("EGM", 4.8, 4.75)]),
+        (None, [gun("EGL", -3.0, 3.0), gun("EGR", 3.0, 9.0)]),
+        (5.0, [gun("EG", 4.2, 5.0)]),
+    ])
+    @pytest.mark.parametrize("model", list(OutcomeModel))
+    def test_click_time_is_the_shot_time(self, mirror, guns, model):
+        # the CSV writer formats one click time per gun on this property
+        sc = Scenario(mode=MODE, mirror_distance=mirror, instruments=guns, model=model,
+                      trials=5000, seed=23)
+        trials = run_trials(sc)
+        shots = np.array([ins.insertion_time for ins in guns])
+        clicked = trials.instrument >= 0
+        assert clicked.any()
+        assert np.array_equal(trials.click_time[clicked].view(np.int64),
+                              shots[trials.instrument[clicked]].view(np.int64))
+        assert np.isnan(trials.click_time[~clicked]).all()
+
     def test_shot_outside_window_flagged(self):
         sc = Scenario(mode=MODE, instruments=[gun("EG", -3.0, 9.0)], trials=200, seed=1)
         outcomes = run_trials(sc)
