@@ -191,10 +191,9 @@ def _located_inner_jumps(mode: ModeSpec, s_values: np.ndarray, grid: int) -> np.
     """The located inner jump at each s, NaN where none was found; the rows of
     each ``validation.row_blocks`` slice share one snapshot and one locator call."""
     cell = mode.a / (grid - 1)
-    rw, sw = reflection.reflection_pieces(mode, s_values)
-    far_edge = rw.lo
+    far_edge, border = reflection.domain_edges(mode, s_values)
     # near s = a/2 the inner jump sits on the far edge: keep that edge's candidates
-    keep_far = np.abs(sw.lo - far_edge) <= 1.5 * cell
+    keep_far = np.abs(border - far_edge) <= 1.5 * cell
     located = np.full(len(s_values), np.nan)
     for block in validation.row_blocks(len(s_values), grid):
         snap = reflection_snapshot(mode, s_values[block], n_points=grid)
@@ -212,7 +211,7 @@ def cmd_track(args) -> int:
     if args.grid < validation.MIN_GRID:
         raise ValueError(f"grid too coarse: need at least {validation.MIN_GRID} points")
     s_values = np.linspace(0.0, mode.a, args.steps + 2)[1:-1]
-    x_analytic = reflection.reflection_pieces(mode, s_values)[1].lo  # the RW/SW border
+    x_analytic = reflection.domain_edges(mode, s_values)[1]  # the RW/SW border
     x_located = _located_inner_jumps(mode, s_values, args.grid)
     residual = np.abs(x_located - x_analytic)
     _write_csv(args.out, ["s", "x_D_analytic", "x_D_located", "residual"],
@@ -238,12 +237,16 @@ def cmd_dce(args) -> int:
     names = [ins.id for ins in scenario.instruments] + [""]
     # a gun trial clicks at its gun's shot time: where the instrument code fixes
     # click_time, bit for bit (-0.0 and 0.0 never share a cell), each code's time is
-    # formatted once and gathered like a label, the bytes the float writer would write
-    click_time, table = trials.click_time, np.full(len(names), np.nan)
-    table[trials.instrument] = click_time
-    if np.array_equal(table[trials.instrument].view(np.int64), click_time.view(np.int64)):
-        form = "%.17g".__mod__ if args.digits17 else repr
-        click_time = (["" if math.isnan(t) else form(t) for t in table.tolist()], trials.instrument)
+    # formatted once and gathered like a label, the bytes the float writer would write;
+    # a detector's click times vary, so detector runs go straight to the float writer
+    click_time = trials.click_time
+    if any(ins.kind is experiments.InstrumentKind.ELECTRON_GUN for ins in scenario.instruments):
+        table = np.full(len(names), np.nan)
+        table[trials.instrument] = click_time
+        if np.array_equal(table[trials.instrument].view(np.int64), click_time.view(np.int64)):
+            form = "%.17g".__mod__ if args.digits17 else repr
+            click_time = (["" if math.isnan(t) else form(t) for t in table.tolist()],
+                          trials.instrument)
     columns = [np.arange(len(trials)), (names, trials.instrument), click_time,
                trials.scatter_x, ([b.value for b in trials.BRANCHES], trials.branch)]
     _write_csv(args.out, ["trial", "instrument", "click_time", "scatter_x", "branch"], columns,

@@ -61,7 +61,7 @@ _MASS_EPS = 1e-15
 # between nodes h apart errs in u by up to h^2/8 times the density's steepest
 # slope, 2k/a per unit mass on a running pulse: the pulse profile (h = a/4096)
 # has sup |F(x(u)) - u| = pi n / (4 * 4096^2) ~ 4.68e-8 n, linear in n.  A gun's
-# reflection pieces split the intervals between RW and SW: up to 4x that as s
+# reflection pieces split the intervals at the RW/SW border: up to 4x that as s
 # nears 0 or a.
 _TABLE_INTERVALS = 4096
 _BLOCK = 4  # uniform doubles per trial: one Philox counter block
@@ -257,10 +257,11 @@ class StatsReport:
 
 def _table(mode: ModeSpec, pieces: tuple[Piece, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF table (cdf, x) of E^2 + B^2, exact at nodes that split each
-    piece of nonzero width evenly."""
-    wide = [p for p in pieces if p.lo < p.hi]
-    m = _TABLE_INTERVALS // len(wide)
-    nodes = np.concatenate([np.linspace(p.lo, p.hi, m + 1)[:-1] for p in wide] + [[wide[-1].hi]])
+    interval between the distinct piece edges evenly."""
+    edges = sorted({end for p in pieces for end in (p.lo, p.hi)})
+    m = _TABLE_INTERVALS // (len(edges) - 1)
+    nodes = np.concatenate([np.linspace(lo, hi, m + 1)[:-1]
+                            for lo, hi in zip(edges, edges[1:])] + [edges[-1:]])
     cdf = np.asarray(wavestate.cumulative(pieces, mode.k, nodes))
     return cdf / cdf[-1], nodes
 

@@ -7,9 +7,11 @@ propagated by the trailing edge since first contact (t = s/c), running from
 next to the mirror while the trailing part keeps running; in the second
 stage (s >= a/2) the running region holds the already-reflected front.
 
-At every s the field is a ``running_piece`` (RW) and a ``standing_piece`` (SW),
-``reflection_pieces``; their shared bound -min(s, a - s), the RW/SW border, is
-where the co-moving inner derivative discontinuities sit.
+At every s the field is the incident pulse, cut at the mirror, plus its mirror
+image (``reflection_pieces``); where both are, they add up to the standing wave
+(SW), and the rest is one running wave (RW).  ``domain_edges`` gives the far edge
+and the RW/SW border -min(s, a - s), where the co-moving inner derivative
+discontinuities sit.
 
 Field values carry the 1/sqrt(a) prefactor so that E^2 + B^2 integrates
 to 1 over the instantaneous support.  The energy ledger is reported in
@@ -21,12 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 import numpy as np
 
-from .wavestate import (FieldSample, ModeSpec, Piece, derivative, evaluate, limits,
-                        running_piece, standing_piece)
+from .wavestate import ArrayLike, FieldSample, ModeSpec, Piece, derivative, evaluate, limits
 
 __all__ = [
     "Quantity",
@@ -34,12 +34,11 @@ __all__ = [
     "DiscontinuityRecord",
     "EnergyLedger",
     "reflection_pieces",
+    "domain_edges",
     "reflect_field",
     "discontinuities",
     "energy_ledger",
 ]
-
-ArrayLike = Union[float, np.ndarray]
 
 
 class Quantity(str, Enum):
@@ -87,23 +86,31 @@ def _check_s(a: float, s: ArrayLike) -> np.ndarray:
 
 
 def reflection_pieces(mode: ModeSpec, s: ArrayLike) -> tuple[Piece, Piece]:
-    """Running-wave and standing-wave pieces at moment s, prefactor 1/sqrt(a) included.
+    """The incident pulse and its mirror image at moment s, prefactor 1/sqrt(a) included.
 
-    SW: E = -2 sin(kx) cos(ks), B = 2 cos(kx) sin(ks).  RW: E = B = -sin k(x-s)
-    in the first stage; E = -sin k(x+s), B = +sin k(x+s) in the second, which
-    keeps both fields continuous at the RW/SW border for every mode.  At s = a/2
-    the RW is the point -a/2; at s in {0, a} the SW is the point 0.  A column
-    of s, shape (rows, 1), gives a stack of tables for ``evaluate``.
+    The incident pulse E = B = -sin k(x - s) has run s past first contact and is
+    cut at the mirror, to [s - a, 0].  A perfect conductor at x = 0 adds its image
+    E(x) -> -E(-x), B(x) -> B(-x): the part past the mirror, [0, s], folded back
+    to [-s, 0] as the left-mover E = -B = -sin k(x + s).  Where both are, the sum
+    is the SW, E = -2 sin(kx) cos(ks) and B = 2 cos(kx) sin(ks), so E vanishes at
+    the mirror.  A column of s, shape (rows, 1), gives a stack of tables for
+    ``evaluate``.
     """
-    a = mode.a
-    pref = 1.0 / math.sqrt(a)
-    s = _check_s(a, s)
-    first = s <= a / 2
-    inner = np.where(first, -s, s - a)[()]
+    pref = 1.0 / math.sqrt(mode.a)
+    s = _check_s(mode.a, s)[()]
     ks = mode.k * s
-    rw = running_piece(np.where(first, -a + s, -s)[()], inner, -pref,
-                       np.where(first, -ks, ks)[()], np.where(first, 1.0, -1.0))
-    return rw, standing_piece(inner, 0.0, -2.0 * pref, ks)
+    return Piece(s - mode.a, 0.0, -pref, -ks, 1.0), Piece(-s, 0.0, -pref, ks, -1.0)
+
+
+def domain_edges(mode: ModeSpec, s: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+    """(far edge, RW/SW border) at moment s: the RW is [far, border], the SW [border, 0].
+
+    Both waves end at the mirror, so the SW starts at the larger of their lower
+    ends and the RW at the smaller; at s = a/2 the RW is a point, at s in {0, a}
+    the SW is.
+    """
+    incident, image = reflection_pieces(mode, s)
+    return np.minimum(incident.lo, image.lo), np.maximum(incident.lo, image.lo)
 
 
 def reflect_field(mode: ModeSpec, s: ArrayLike, x: ArrayLike) -> FieldSample:
@@ -124,9 +131,9 @@ def discontinuities(mode: ModeSpec, s: float) -> list[DiscontinuityRecord]:
     limit at a piece endpoint.
     """
     pieces = reflection_pieces(mode, s)
+    far_edge, border = domain_edges(mode, s)
     k = mode.k
     slopes = derivative(pieces, k)
-    rw, sw = pieces
     records: list[DiscontinuityRecord] = []
 
     def slope_jumps(x: float, kind: JumpKind) -> None:
@@ -135,8 +142,8 @@ def discontinuities(mode: ModeSpec, s: float) -> list[DiscontinuityRecord]:
         records.append(DiscontinuityRecord(x, Quantity.DB_DX, right.B - left.B, kind))
 
     if 0.0 < s < mode.a:
-        slope_jumps(sw.lo, JumpKind.INNER)
-    slope_jumps(rw.lo, JumpKind.EDGE)
+        slope_jumps(border, JumpKind.INNER)
+    slope_jumps(far_edge, JumpKind.EDGE)
     # Surface current on the mirror: B jumps from its x -> 0- value to zero.
     left, right = limits(pieces, k, 0.0)
     records.append(DiscontinuityRecord(0.0, Quantity.B_VALUE, right.B - left.B,

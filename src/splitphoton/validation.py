@@ -248,7 +248,7 @@ def identity_suite(mode: ModeSpec, s_samples: Sequence[float]) -> dict[str, floa
     a = mode.a
     s = np.asarray(s_samples, dtype=float)
     led = reflection.energy_ledger(mode, s)
-    rw, sw = reflection.reflection_pieces(mode, s)
+    far_edge, border = reflection.domain_edges(mode, s)
 
     def e_sq(x: np.ndarray, s_col: np.ndarray) -> np.ndarray:
         return reflection.reflect_field(mode, s_col, x).E ** 2
@@ -262,9 +262,9 @@ def identity_suite(mode: ModeSpec, s_samples: Sequence[float]) -> dict[str, floa
 
     # Bare-convention values are a times the integrals of the
     # prefactored squared fields.
-    q_rw = a * integrate(rho, rw.lo, rw.hi, tol=1e-11, args=(s,)).value
-    q_e = a * integrate(e_sq, sw.lo, sw.hi, tol=1e-11, args=(s,)).value
-    q_b = a * integrate(b_sq, sw.lo, sw.hi, tol=1e-11, args=(s,)).value
+    q_rw = a * integrate(rho, far_edge, border, tol=1e-11, args=(s,)).value
+    q_e = a * integrate(e_sq, border, 0.0, tol=1e-11, args=(s,)).value
+    q_b = a * integrate(b_sq, border, 0.0, tol=1e-11, args=(s,)).value
 
     def worst(*residuals: np.ndarray) -> float:
         return float(max(np.max(np.abs(r), initial=0.0) for r in residuals))

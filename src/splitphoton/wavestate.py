@@ -6,10 +6,12 @@ counter-propagating length-``a`` pulses, and the kinematic bookkeeping
 instrument of a scenario meets which part of the pulse is not worked out
 here: ``experiments.crossing_events`` is the one table of those times.
 
-Every field regime is a short tuple of sinusoid ``Piece``s from two builders,
-``running_piece`` (B = +E moving right, B = -E moving left) and ``standing_piece``
-(the sum of two of those); one evaluator, derivative rule, one-sided ``limits``
-and exact ``cumulative`` integral of E^2 + B^2 serve them all, here and in ``reflection``.
+Every field table is a short tuple of ``Piece``s, each one running wave
+(B = +E moving right, B = -E moving left) on a closed interval, whose fields
+add where pieces overlap: the eigenmode is a right- and a left-mover on [0, a],
+the split state the left pulse plus the right pulse.  One evaluator, derivative
+rule, one-sided ``limits`` and exact ``cumulative`` integral of E^2 + B^2 serve
+them all, here and in ``reflection``.
 
 Units are normalized: lengths in units of the cavity length and times in
 units of cavity-length / wave-speed (defaults a=1, c=1).  The amplitude
@@ -34,8 +36,6 @@ __all__ = [
     "derivative",
     "limits",
     "cumulative",
-    "running_piece",
-    "standing_piece",
     "eigenmode_pieces",
     "pulse_pieces",
     "split_pieces",
@@ -96,103 +96,86 @@ class RangeReport(NamedTuple):
 
 
 class Piece(NamedTuple):
-    """E = e_amp sin(kx + e_phase), B = b_amp sin(kx + b_phase) on [lo, hi)."""
+    """One running wave: E = amp sin(kx + phase) and B = direction * E on [lo, hi].
+
+    direction is +1 for a right-mover and -1 for a left-mover: in 1-D vacuum
+    E + B is a function of x - ct and E - B one of x + ct.
+    """
 
     lo: float
     hi: float
-    e_amp: float
-    e_phase: float
-    b_amp: float
-    b_phase: float
+    amp: float
+    phase: float
+    direction: float
 
 
 def evaluate(pieces: tuple[Piece, ...], k: float, x: ArrayLike) -> FieldSample:
-    """Fields of a piece table at x; zero outside the pieces, last piece closed.
+    """Fields of a piece table at x: the sum of the waves whose closed interval
+    holds x, zero outside them all.
 
     ``Piece`` fields of shape (rows, 1) against x of shape (rows, m) give row i
-    the table of row i.  Sinusoids are computed at the points inside a piece only:
-    each field is built in place by ufuncs that write through ``where=inside``,
-    so no piece gathers or scatters its points and no scratch array is made.
+    the table of row i.  Each wave's sinusoid is computed at the points inside
+    its piece only, into one scratch array of x's shape that ufuncs write
+    through ``where=inside``, and added to E and to direction times B there.
     """
     x = np.asarray(x, dtype=float)
     e = np.zeros(x.shape)
     b = np.zeros(x.shape)
-    last = len(pieces) - 1
-    for i, p in enumerate(pieces):
-        inside = (x >= p.lo) & ((x <= p.hi) if i == last else (x < p.hi))
-        for field, amp, phase in ((e, p.e_amp, p.e_phase), (b, p.b_amp, p.b_phase)):
-            np.multiply(x, k, out=field, where=inside)
-            np.add(field, phase, out=field, where=inside)
-            np.sin(field, out=field, where=inside)
-            np.multiply(field, amp, out=field, where=inside)
+    wave = np.empty(x.shape)
+    for p in pieces:
+        inside = (x >= p.lo) & (x <= p.hi)
+        np.multiply(x, k, out=wave, where=inside)
+        np.add(wave, p.phase, out=wave, where=inside)
+        np.sin(wave, out=wave, where=inside)
+        np.multiply(wave, p.amp, out=wave, where=inside)
+        np.add(e, wave, out=e, where=inside)
+        np.multiply(wave, p.direction, out=wave, where=inside)
+        np.add(b, wave, out=b, where=inside)
     if e.ndim == 0:
         return FieldSample(float(e), float(b))
     return FieldSample(e, b)
 
 
 def derivative(pieces: tuple[Piece, ...], k: float) -> tuple[Piece, ...]:
-    """Pieces of dE/dx and dB/dx: each sinusoid's amplitude times k, phase plus pi/2."""
-    quarter = 0.5 * math.pi
-    return tuple(
-        Piece(p.lo, p.hi, k * p.e_amp, p.e_phase + quarter, k * p.b_amp, p.b_phase + quarter)
-        for p in pieces
-    )
+    """Pieces of dE/dx and dB/dx: each wave's amplitude times k, phase plus pi/2."""
+    return tuple(p._replace(amp=k * p.amp, phase=p.phase + 0.5 * math.pi) for p in pieces)
 
 
 def limits(pieces: tuple[Piece, ...], k: float, x: float) -> tuple[FieldSample, FieldSample]:
     """Left and right limits of the fields at x; a zero-width piece supplies neither."""
-    left = right = FieldSample(0.0, 0.0)
+    left_e = left_b = right_e = right_b = 0.0
     for p in pieces:
-        value = FieldSample(p.e_amp * math.sin(k * x + p.e_phase),
-                            p.b_amp * math.sin(k * x + p.b_phase))
+        e = p.amp * math.sin(k * x + p.phase)
         if p.lo < x <= p.hi:
-            left = value
+            left_e, left_b = left_e + e, left_b + p.direction * e
         if p.lo <= x < p.hi:
-            right = value
-    return left, right
+            right_e, right_b = right_e + e, right_b + p.direction * e
+    return FieldSample(left_e, left_b), FieldSample(right_e, right_b)
 
 
 def cumulative(pieces: tuple[Piece, ...], k: float, x: ArrayLike) -> ArrayLike:
     """Exact integral of E^2 + B^2 from the start of the pieces up to x.
 
-    Uses the antiderivative of amp^2 sin^2(kx + phase),
-    amp^2/2 * (x - sin(2(kx + phase)) / (2k)).
+    Two waves of one direction never overlap in a table, so the cross terms of
+    E^2 and B^2 cancel and each wave adds its own 2 E_p^2, by the antiderivative
+    amp^2 (x - sin(2(kx + phase)) / (2k)).
     """
     x = np.asarray(x, dtype=float)
     total = np.zeros(x.shape)
     for p in pieces:
         u = np.clip(x, p.lo, p.hi)
-        for amp, phase in ((p.e_amp, p.e_phase), (p.b_amp, p.b_phase)):
-            swing = np.sin(2.0 * (k * u + phase)) - math.sin(2.0 * (k * p.lo + phase))
-            total += 0.5 * amp * amp * ((u - p.lo) - swing / (2.0 * k))
+        swing = np.sin(2.0 * (k * u + p.phase)) - math.sin(2.0 * (k * p.lo + p.phase))
+        total += p.amp * p.amp * ((u - p.lo) - swing / (2.0 * k))
     if total.ndim == 0:
         return float(total)
     return total
 
 
-def running_piece(lo: ArrayLike, hi: ArrayLike, amp: ArrayLike, phase: ArrayLike,
-                  direction: ArrayLike) -> Piece:
-    """A running wave on [lo, hi): E = amp sin(kx + phase), B = direction * E.
-
-    direction is +1 for a right-mover and -1 for a left-mover: in 1-D vacuum
-    E + B is a function of x - ct and E - B one of x + ct.
-    """
-    return Piece(lo, hi, amp, phase, direction * amp, phase)
-
-
-def standing_piece(lo: ArrayLike, hi: ArrayLike, amp: ArrayLike, wt: ArrayLike) -> Piece:
-    """A standing wave on [lo, hi) at phase wt: E = amp cos(wt) sin(kx) and
-    B = -amp sin(wt) cos(kx).
-
-    It is the sum of the ``running_piece``s (amp/2) sin(kx - wt) moving right
-    and (amp/2) sin(kx + wt) moving left.
-    """
-    return Piece(lo, hi, amp * np.cos(wt), 0.0, -amp * np.sin(wt), 0.5 * math.pi)
-
-
-def eigenmode_pieces(mode: ModeSpec, t: float) -> tuple[Piece]:
-    """The trapped eigenmode at time t: one standing-wave piece on [0, a]."""
-    return (standing_piece(0.0, mode.a, mode.amplitude, mode.omega * t),)
+def eigenmode_pieces(mode: ModeSpec, t: float) -> tuple[Piece, Piece]:
+    """The trapped eigenmode at time t: waves (A/2) sin(kx -+ wt) moving right
+    and left on [0, a], whose sum is the standing wave A cos(wt) sin(kx)."""
+    half, wt = 0.5 * mode.amplitude, mode.omega * t
+    return Piece(0.0, mode.a, half, -wt, 1.0), Piece(0.0, mode.a, half, wt, -1.0)
 
 
 def pulse_pieces(mode: ModeSpec, lo: float, direction: int) -> tuple[Piece]:
@@ -200,32 +183,26 @@ def pulse_pieces(mode: ModeSpec, lo: float, direction: int) -> tuple[Piece]:
 
     B = direction * E: +1 for a right-moving pulse, -1 for a left-moving one.
     """
-    return (running_piece(lo, lo + mode.a, 0.5 * mode.amplitude, -mode.k * lo, direction),)
+    return (Piece(lo, lo + mode.a, 0.5 * mode.amplitude, -mode.k * lo, direction),)
 
 
-def split_pieces(mode: ModeSpec, t: float) -> tuple[Piece, ...]:
+def split_pieces(mode: ModeSpec, t: float) -> tuple[Piece, Piece]:
     """Pieces of the split state: pulses on [-ct, a - ct] (left) and [ct, a + ct] (right).
 
-    While the pulses overlap, their sum on [ct, a - ct] is the standing wave
-    at phase kct, which is the eigenmode's piece there.
+    While the pulses overlap, their sum on [ct, a - ct] is the eigenmode there.
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     if t < 0:
         raise ValueError("time must be non-negative after release")
     ct = mode.c * t
-    (left,) = pulse_pieces(mode, -ct, -1)
-    (right,) = pulse_pieces(mode, ct, 1)
-    if left.hi <= right.lo:
-        return (left, right)
-    both = standing_piece(ct, left.hi, mode.amplitude, mode.k * ct)
-    return (left._replace(hi=ct), both, right._replace(lo=left.hi))
+    return pulse_pieces(mode, -ct, -1) + pulse_pieces(mode, ct, 1)
 
 
 def eigenmode(mode: ModeSpec, x: ArrayLike, t: float) -> FieldSample:
     """Trapped cavity eigenmode; zero outside [0, a].
 
-    E = A sin(kx) cos(wt), B = -A cos(kx) sin(wt) with A = sqrt(2/a), a ``standing_piece``.
+    E = A sin(kx) cos(wt), B = -A cos(kx) sin(wt) with A = sqrt(2/a), ``eigenmode_pieces``.
     """
     return evaluate(eigenmode_pieces(mode, t), mode.k, x)
 

@@ -23,7 +23,7 @@ from splitphoton.experiments import (
     run,
     run_trials,
 )
-from splitphoton.reflection import energy_ledger, reflect_field, reflection_pieces
+from splitphoton.reflection import domain_edges, energy_ledger, reflect_field
 from splitphoton.snapshot import reflection_snapshot
 from splitphoton.validation import integrate, locate_jumps
 from splitphoton.wavestate import eigenmode
@@ -61,13 +61,13 @@ def test_criterion_1_energy_conservation():
     worst_quad = 0.0
     mode = ModeSpec()
     for s in (0.05, 0.25, 0.5, 0.75, 0.95):
-        rw, sw = reflection_pieces(mode, s)
+        far_edge, border = domain_edges(mode, s)
 
         def rho(x, _s=s):
             e, b = reflect_field(mode, _s, x)
             return np.asarray(e) ** 2 + np.asarray(b) ** 2
 
-        q = integrate(rho, rw.lo, 0.0, tol=1e-11, breakpoints=[sw.lo]).value
+        q = integrate(rho, far_edge, 0.0, tol=1e-11, breakpoints=[border]).value
         worst_quad = max(worst_quad, abs(mode.a * q - mode.a))
     assert worst_quad < 1e-8
     elapsed = time.perf_counter() - t0
@@ -83,8 +83,8 @@ def test_criterion_2_midpoint_collapse():
     mode = ModeSpec()
     led = energy_ledger(mode, 0.5)
     assert abs(led.e_rw) < 1e-12
-    rw, _ = reflection_pieces(mode, 0.5)
-    assert rw.hi - rw.lo == 0.0  # the running-wave domain shrinks to a point
+    far_edge, border = domain_edges(mode, 0.5)
+    assert border - far_edge == 0.0  # the running-wave domain shrinks to a point
     snap = reflection_snapshot(mode, 0.5, n_points=1024)
     e_max = float(np.max(np.abs(snap.E)))
     assert e_max < 1e-12
@@ -103,8 +103,7 @@ def test_criterion_3_discontinuity_kinematics():
     located = []
     for s in s_values:
         snap = reflection_snapshot(mode, s, n_points=grid)
-        rw, sw = reflection_pieces(mode, s)
-        far_edge = rw.lo
+        far_edge, border = domain_edges(mode, s)
         inner = [
             j
             for j in locate_jumps(snap)[0]
@@ -112,14 +111,14 @@ def test_criterion_3_discontinuity_kinematics():
         ]
         assert inner, f"no inner jump located at s={s}"
         best = max(inner, key=lambda j: j.score).location
-        assert abs(best - sw.lo) <= cell
+        assert abs(best - border) <= cell
         located.append(best)
     located = np.asarray(located)
     # V-shaped track: away from the mirror until s=a/2, then back
     half = len(located) // 2
     assert np.all(np.diff(located[:half]) < 0)  # receding
     assert np.all(np.diff(located[-half:]) > 0)  # returning
-    deepest = min(reflection_pieces(mode, s)[1].lo for s in s_values)
+    deepest = min(domain_edges(mode, s)[1] for s in s_values)
     assert located.min() == pytest.approx(deepest, abs=2 * cell)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -137,7 +136,7 @@ def test_criterion_4_continuity_with_derivative_jump():
     for s in np.linspace(0.05, 0.95, 19):
         if abs(s - 0.5) < 1e-9:
             continue
-        border = reflection_pieces(mode, s)[1].lo
+        border = domain_edges(mode, s)[1]
         below = np.array([border - 2 * eps, border - eps])
         above = np.array([border + eps, border + 2 * eps])
         for side in (0, 1):
@@ -150,7 +149,7 @@ def test_criterion_4_continuity_with_derivative_jump():
     assert worst_value_jump < 1e-6  # continuity, limited by the 1e-7 probe offset
     # exact statement, via one-sided analytic limits at the border
     for s in (0.2, 0.35, 0.7):
-        border = reflection_pieces(mode, s)[1].lo
+        border = domain_edges(mode, s)[1]
         e_lo, b_lo = reflect_field(mode, s, border - 1e-12)
         e_hi, b_hi = reflect_field(mode, s, border + 1e-12)
         assert abs(e_lo - e_hi) < 1e-11 and abs(b_lo - b_hi) < 1e-11
@@ -199,13 +198,13 @@ def test_criterion_6_normalization_across_regimes():
         worst = max(worst, abs(q.value - 1.0))
 
     for s in (0.1, 0.25, 0.5, 0.9):
-        rw, sw = reflection_pieces(mode, s)
+        far_edge, border = domain_edges(mode, s)
 
         def rho_ref(x, _s=s):
             e, b = reflect_field(mode, _s, x)
             return np.asarray(e) ** 2 + np.asarray(b) ** 2
 
-        q = integrate(rho_ref, rw.lo, 0.0, tol=1e-11, breakpoints=[sw.lo])
+        q = integrate(rho_ref, far_edge, 0.0, tol=1e-11, breakpoints=[border])
         worst = max(worst, abs(q.value - 1.0))
 
     assert worst < 1e-8

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from splitphoton import ModeSpec, validation
 from splitphoton.cli import _located_inner_jumps
-from splitphoton.reflection import energy_ledger, reflect_field, reflection_pieces
+from splitphoton.reflection import domain_edges, energy_ledger, reflect_field, reflection_pieces
 from splitphoton.snapshot import Snapshot, reflection_snapshot
 from splitphoton.validation import QuadratureError, QuadResult, identity_suite, integrate
 
@@ -224,13 +224,13 @@ class TestIdentitySuiteRows:
             led = energy_ledger(mode, s)
             res_sum = max(res_sum, abs(led.e_E_sw + led.e_B_sw - led.e_sw))
             res_cons = max(res_cons, abs(led.total / a - 1.0))
-            rw, sw = reflection_pieces(mode, s)
+            far_edge, border = domain_edges(mode, s)
             e_sq = lambda x, s=s: reflect_field(mode, s, x).E ** 2
             b_sq = lambda x, s=s: reflect_field(mode, s, x).B ** 2
             rho = lambda x, s=s: e_sq(x) + b_sq(x)
-            q_rw = a * integrate(rho, rw.lo, rw.hi, tol=1e-11).value
-            q_e = a * integrate(e_sq, sw.lo, sw.hi, tol=1e-11).value
-            q_b = a * integrate(b_sq, sw.lo, sw.hi, tol=1e-11).value
+            q_rw = a * integrate(rho, far_edge, border, tol=1e-11).value
+            q_e = a * integrate(e_sq, border, 0.0, tol=1e-11).value
+            q_b = a * integrate(b_sq, border, 0.0, tol=1e-11).value
             res_quad = max(res_quad, abs(q_rw - led.e_rw), abs(q_e - led.e_E_sw),
                            abs(q_b - led.e_B_sw))
         return {"sw_partition": res_sum / a, "ledger_vs_quadrature": res_quad / a,
@@ -285,8 +285,8 @@ class TestEnergyLedgerArray:
         mode, s = ModeSpec(n=3), [0.1, 0.5, 0.8]
         assert np.array_equal(astuple(energy_ledger(mode, s)),
                               astuple(energy_ledger(mode, np.array(s))))
-        (rw, sw), (rw0, sw0) = reflection_pieces(mode, s), reflection_pieces(mode, np.array(s))
-        assert all(np.array_equal(u, v) for u, v in zip(rw + sw, rw0 + sw0))
+        (inc, img), (inc0, img0) = reflection_pieces(mode, s), reflection_pieces(mode, np.array(s))
+        assert all(np.array_equal(u, v) for u, v in zip(inc + img, inc0 + img0))
 
 
 def _reference_track(mode, s_values, grid):
@@ -294,10 +294,10 @@ def _reference_track(mode, s_values, grid):
     cell = mode.a / (grid - 1)
     located = []
     for s in s_values:
-        rw, sw = reflection_pieces(mode, s)
-        keep_far = abs(sw.lo - rw.lo) <= 1.5 * cell
+        far_edge, border = domain_edges(mode, s)
+        keep_far = abs(border - far_edge) <= 1.5 * cell
         candidates = [j for j in _reference_jumps(reflection_snapshot(mode, s, n_points=grid))
-                      if (keep_far or abs(j.location - rw.lo) > 1.5 * cell)
+                      if (keep_far or abs(j.location - far_edge) > 1.5 * cell)
                       and abs(j.location) > 1.5 * cell]
         located.append(max(candidates, key=lambda j: j.score).location if candidates else np.nan)
     return np.array(located)

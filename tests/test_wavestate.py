@@ -49,14 +49,14 @@ class TestModeSpec:
 
 
 def _reference_fields(pieces, k, x):
-    """(E, B) at one float x, a piece at a time with ``math.sin``: the last piece
-    that holds x wins, pieces are half-open but the last is closed, else zero."""
+    """(E, B) at one float x, a piece at a time with ``math.sin``: the sum, in
+    table order, of the waves whose closed interval holds x, else zero."""
     e = b = 0.0
-    last = len(pieces) - 1
-    for i, p in enumerate(pieces):
-        if p.lo <= x and (x <= p.hi if i == last else x < p.hi):
-            e = p.e_amp * math.sin(k * x + p.e_phase)
-            b = p.b_amp * math.sin(k * x + p.b_phase)
+    for p in pieces:
+        if p.lo <= x <= p.hi:
+            wave = p.amp * math.sin(k * x + p.phase)
+            e += wave
+            b += p.direction * wave
     return e, b
 
 
@@ -66,13 +66,14 @@ def _bits(values):
 
 @st.composite
 def _piece_table(draw, count):
-    """``count`` adjacent pieces; a width of zero makes a zero-width piece."""
-    edges = [draw(st.floats(-3.0, 1.0))]
-    for _ in range(count):
-        edges.append(edges[-1] + draw(st.just(0.0) | st.floats(0.0, 2.0)))
+    """``count`` pieces that may touch, overlap or have zero width."""
     value = st.floats(-3.0, 3.0)
-    return tuple(Piece(lo, hi, draw(value), draw(value), draw(value), draw(value))
-                 for lo, hi in zip(edges, edges[1:]))
+    table = []
+    for _ in range(count):
+        lo = draw(st.floats(-3.0, 1.0))
+        hi = lo + draw(st.just(0.0) | st.floats(0.0, 2.0))
+        table.append(Piece(lo, hi, draw(value), draw(value), draw(st.sampled_from([1.0, -1.0]))))
+    return tuple(table)
 
 
 class TestEvaluate:
@@ -82,8 +83,8 @@ class TestEvaluate:
     def test_matches_pointwise_sine_bit_for_bit(self, data, count, rows, k, common):
         tables = [data.draw(_piece_table(count)) for _ in range(rows)]
         # every row also samples its own piece edges, NaN and both infinities
-        x = np.array([common + [p.lo for p in t] + [t[-1].hi, math.nan, -math.inf, math.inf]
-                      for t in tables])
+        x = np.array([common + [end for p in t for end in (p.lo, p.hi)]
+                      + [math.nan, -math.inf, math.inf] for t in tables])
         expected = np.array([[_reference_fields(t, k, v) for v in row]
                              for t, row in zip(tables, x.tolist())])
         for t, row, want in zip(tables, x, expected):
@@ -91,7 +92,7 @@ class TestEvaluate:
             assert np.array_equal(_bits(e), _bits(want[:, 0]))
             assert np.array_equal(_bits(b), _bits(want[:, 1]))
         # a stack of tables, fields of shape (rows, 1), against x of shape (rows, m)
-        stacked = tuple(Piece(*(np.array([[t[j][f]] for t in tables]) for f in range(6)))
+        stacked = tuple(Piece(*(np.array([[t[j][f]] for t in tables]) for f in range(5)))
                         for j in range(count))
         e, b = evaluate(stacked, k, x)
         assert np.array_equal(_bits(e), _bits(expected[..., 0]))
@@ -102,12 +103,16 @@ class TestEvaluate:
             assert _bits([e, b]).tolist() == _bits(want).tolist()
 
     def test_zero_width_pieces(self):
-        # a zero-width inner piece holds no point; a zero-width last piece holds its edge
-        pieces = (Piece(0.0, 1.0, 1.0, 0.0, 2.0, 0.5), Piece(1.0, 1.0, 5.0, 0.0, 5.0, 0.0),
-                  Piece(1.0, 2.0, 3.0, 0.25, 4.0, 0.75), Piece(2.0, 2.0, 7.0, 1.0, 9.0, 1.0))
-        e, b = evaluate(pieces, 1.5, np.array([1.0, 2.0]))
-        assert e.tolist() == [3.0 * math.sin(1.5 + 0.25), 7.0 * math.sin(3.0 + 1.0)]
-        assert b.tolist() == [4.0 * math.sin(1.5 + 0.75), 9.0 * math.sin(3.0 + 1.0)]
+        # closed pieces: both neighbours hold their shared edge, and a zero-width
+        # piece holds its one point
+        pieces = (Piece(0.0, 1.0, 1.0, 0.0, 1.0), Piece(1.0, 1.0, 5.0, 0.0, -1.0),
+                  Piece(1.0, 2.0, 3.0, 0.25, 1.0))
+        e, b = evaluate(pieces, 1.5, np.array([0.5, 1.0, 2.0, 2.5]))
+        waves = [math.sin(1.5), 5.0 * math.sin(1.5), 3.0 * math.sin(1.5 + 0.25)]
+        assert e.tolist() == [math.sin(0.75), waves[0] + waves[1] + waves[2],
+                              3.0 * math.sin(3.0 + 0.25), 0.0]
+        assert b.tolist() == [math.sin(0.75), waves[0] - waves[1] + waves[2],
+                              3.0 * math.sin(3.0 + 0.25), 0.0]
 
 
 class TestEigenmode:
@@ -156,10 +161,11 @@ class TestBoundaryCheck:
         assert max(e_res, b_res) <= 1e-12 * n**2
 
     def test_reads_the_field_pieces(self, monkeypatch):
-        # a cosine-shaped eigenmode breaks E = 0 at the walls, and the check sees it
+        # a cosine-shaped eigenmode breaks E = 0 at the walls, and the check sees it:
+        # both waves shifted a quarter wave give E = A cos(kx) cos(wt)
         def shifted(mode, t):
-            (piece,) = eigenmode_pieces(mode, t)
-            return (piece._replace(e_phase=0.5 * np.pi, b_phase=np.pi),)
+            return tuple(p._replace(phase=p.phase + 0.5 * np.pi)
+                         for p in eigenmode_pieces(mode, t))
 
         monkeypatch.setattr(wavestate, "eigenmode_pieces", shifted)
         e_res, b_res = boundary_check(ModeSpec())
@@ -317,6 +323,27 @@ class TestCharacteristics:
         residual = _characteristic_residual(pieces_at, mode.k, c, t, tau, x_right, x_left)
         x_max = max(np.max(np.abs(x_right)), np.max(np.abs(x_left))) + c * tau
         assert residual <= 1e-15 * (1.0 + mode.k * x_max) * mode.amplitude
+
+
+class TestPieceTables:
+    @pytest.mark.parametrize("regime", ["eigenmode", "split", "reflection"])
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), a=st.floats(1e-3, 1e6), t=st.floats(0.0, 1e6),
+           frac=st.floats(0.0, 1.0))
+    def test_no_two_waves_of_one_direction_overlap(self, regime, n, a, t, frac):
+        # ``cumulative`` adds each wave's own 2 E^2: exact only while the waves
+        # that overlap run in opposite directions, so their cross terms cancel
+        mode = ModeSpec(a=a, n=n)
+        if regime == "eigenmode":
+            pieces = eigenmode_pieces(mode, t)
+        elif regime == "split":
+            pieces = split_pieces(mode, t)
+        else:
+            pieces = reflection_pieces(mode, min(frac * a, a))
+        for i, p in enumerate(pieces):
+            assert p.direction in (1.0, -1.0)
+            for q in pieces[i + 1:]:
+                assert p.direction != q.direction or max(p.lo, q.lo) >= min(p.hi, q.hi)
 
 
 class TestKinematics:
