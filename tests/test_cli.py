@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from splitphoton import cli, experiments, shortest, validation
 from splitphoton import ModeSpec, boundary_check
 from splitphoton.scenario import load_scenario
+from splitphoton.snapshot import free_snapshot, reflection_snapshot
 from splitphoton.cli import (_CSV_CHUNK, _REPR_KERNEL_MIN, _wall_tolerances, _write_csv,
                              build_parser, main)
 
@@ -89,20 +90,41 @@ def _reference_csv(path, header, columns, digits17):
         writer.writerows(zip(*[values(col) for col in columns]))
 
 
-_SPECIAL_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -2.5e-310,
-                   2.2250738585072014e-308, 1e-308, 1.7976931348623157e308, -1e308, 0.1,
-                   1.0 / 3.0]
+_SPECIAL_FLOATS = [math.nan, math.copysign(math.nan, -1.0), 0.0, -0.0, math.inf, -math.inf,
+                   5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-308, 1.7976931348623157e308,
+                   -1e308, 0.1, 1.0 / 3.0]
+
+
+def _mirrored(left, rng, changed):
+    """``left`` with the sign bit of each cell flipped or kept at random (a NaN's
+    too), then a share ``changed`` of the cells changed: half of those drawn anew
+    from ``_SPECIAL_FLOATS``, half moved one ulp up, unlike their left cell in
+    the last bit only."""
+    flips = rng.integers(0, 2, len(left)).astype(np.uint64) << np.uint64(63)
+    column = (left.view(np.uint64) ^ flips).view(np.float64)
+    pick = rng.random(len(left))
+    redraw, nudge = pick < changed / 2, (pick >= changed / 2) & (pick < changed)
+    column[redraw] = np.array(_SPECIAL_FLOATS)[rng.integers(0, len(_SPECIAL_FLOATS),
+                                                            redraw.sum())]
+    with np.errstate(over="ignore"):  # the greatest double moves up to inf
+        column[nudge] = np.nextafter(column[nudge], np.inf)
+    return column
 
 
 @st.composite
 def _tables(draw):
-    """Header and columns of float, int and label kinds, drawn from small pools."""
+    """Header and columns of float, int and label kinds, drawn from small pools; a
+    float column right of another may be drawn as that one's cells, each of
+    either sign, some of them changed (``_mirrored``)."""
     rows = draw(st.sampled_from([0, 1, 1023, 1024, 1025]) | st.integers(0, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.sampled_from(["float", "int", "label"]), min_size=2, max_size=5))
     columns = []
     for kind in kinds:
-        if kind == "float":
+        left_float = columns and not isinstance(columns[-1], tuple) and columns[-1].dtype.kind == "f"
+        if kind == "float" and left_float and draw(st.booleans()):
+            columns.append(_mirrored(columns[-1], rng, draw(st.sampled_from([0.0, 0.05, 0.5]))))
+        elif kind == "float":
             pool = _SPECIAL_FLOATS + draw(st.lists(st.floats(), max_size=8))
             columns.append(np.array(pool)[rng.integers(0, len(pool), rows)])
         elif kind == "int":
@@ -138,9 +160,12 @@ class TestWriteCsv:
         rng = np.random.default_rng(rows)
         floats = rng.normal(size=rows) * 10.0 ** rng.integers(-6, 18, rows)
         floats[rng.integers(0, rows, 50)] = np.nan
+        # the column right of x holds x's cells, each of either sign, 10% of them
+        # changed: copies, sign flips, and leftover cells that go to ``percent_slots``
+        # in a batch of fewer than 3200 rows and to a kernel in a batch of 4096
         columns = [np.arange(rows), (["a", 'b,"c"', ""], rng.integers(-1, 3, rows)), floats,
-                   rng.uniform(0, 1, rows)]
-        header = ["i", "label", "x", "y"]
+                   _mirrored(floats, rng, 0.1), rng.uniform(0, 1, rows)]
+        header = ["i", "label", "x", "mirrored", "y"]
         ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
         _write_csv(str(ours), header, columns, digits17)
         _reference_csv(str(ref), header, columns, digits17)
@@ -227,6 +252,27 @@ class TestSnapshot:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,E,B,rho"
         assert len(lines) == 129
+
+    # B copies E's text, with its sign fixed, wherever |B| == |E| bit for bit: the
+    # hand-off moments, the left-moving pulse's sign flips, the benchmark's moments
+    # and long zero stretches.  4097 rows are one full batch and one of a single row;
+    # the cells B formats itself number above _REPR_KERNEL_MIN in the first batch at
+    # --s 0.1 to 0.75 and --t 0.4, and one or none in the second
+    @pytest.mark.parametrize("moment", [("--s", s) for s in ("0", "0.1", "0.25", "0.5", "0.75", "1")]
+                             + [("--t", t) for t in ("0", "0.4", "5")])
+    @pytest.mark.parametrize("digits17", [False, True])
+    def test_bytes_match_csv_writer(self, tmp_path, moment, digits17):
+        option, value = moment
+        mode = ModeSpec(a=1.0, n=1, c=1.0)
+        snapshot = reflection_snapshot if option == "--s" else free_snapshot
+        snap = snapshot(mode, float(value), n_points=4097)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        assert main(["snapshot", option, value, "--grid", "4097", "--out", str(ours)]
+                    + ["--digits17"] * digits17) == 0
+        _reference_csv(str(ref), ["x", "E", "B", "rho"],
+                       [np.asarray(v, dtype=float) for v in (snap.x, snap.E, snap.B, snap.rho)],
+                       digits17)
+        assert ours.read_bytes() == ref.read_bytes()
 
     def test_rho_column_consistent(self, tmp_path):
         out = tmp_path / "snap.csv"
