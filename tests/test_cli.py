@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from splitphoton import cli, experiments, shortest, validation
 from splitphoton import ModeSpec, boundary_check
+from splitphoton.wavestate import eigenmode, split_pieces, split_state
 from splitphoton.scenario import load_scenario
 from splitphoton.snapshot import free_snapshot, reflection_snapshot
 from splitphoton.cli import (_CSV_CHUNK, _REPR_KERNEL_MIN, _wall_tolerances, _write_csv,
@@ -616,13 +617,47 @@ class TestCheck:
         assert e_res <= e_tol and b_res <= b_tol
 
     @settings(max_examples=30, deadline=None)
-    @given(log_a=st.floats(-3.0, 6.0), n=st.integers(1, 12))
-    def test_all_checks_pass_over_a(self, log_a, n):
-        # the energy lines are relative to the ledger's total, a
+    @given(log_a=st.floats(-3.0, 6.0), n=st.integers(1, 12), log_c=st.floats(-3.0, 3.0))
+    def test_all_checks_pass_over_a(self, log_a, n, log_c):
+        # the energy lines are relative to the ledger's total, a; c moves the split-state times
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(["check", "--a", repr(10.0**log_a), "--n", str(n)])
+            code = main(["check", "--a", repr(10.0**log_a), "--n", str(n), "--c", repr(10.0**log_c)])
         assert code == 0 and "FAIL" not in out.getvalue()
+
+    @staticmethod
+    def _per_table_lines(mode):
+        """The normalization lines, each integral its own call through its own closure."""
+        def line(name, q):
+            residual = abs(q.value - 1.0)
+            return f"{'OK  ' if residual <= 1e-8 else 'FAIL'} {name}: residual {residual:.3e} (tol 1.0e-08)"
+
+        def cavity_rho(x):
+            e, b = eigenmode(mode, x, 0.35 * mode.a / mode.c)
+            return e ** 2 + b ** 2
+
+        lines = [line("cavity normalization", validation.integrate(cavity_rho, 0.0, mode.a, tol=1e-11))]
+        for t in (0.0, 0.2 * mode.a / mode.c, 5.0 * mode.a / mode.c):
+            pieces = split_pieces(mode, t)
+
+            def split_rho(x, t=t):
+                e, b = split_state(mode, x, t)
+                return e ** 2 + b ** 2
+
+            q = validation.integrate(split_rho, pieces[0].lo, pieces[-1].hi, tol=1e-11,
+                                     breakpoints={end for p in pieces for end in (p.lo, p.hi)})
+            lines.append(line(f"split-state normalization at t={t:g}", q))
+        return lines
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    @pytest.mark.parametrize("a", [1e-3, 0.37, 1e6])
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    def test_normalization_lines_match_per_table_calls(self, capsys, n, a, c):
+        main(["check", "--n", str(n), "--a", repr(a), "--c", repr(c)])
+        lines = capsys.readouterr().out.splitlines()[1:5]
+        assert lines == self._per_table_lines(ModeSpec(a=a, n=n, c=c))
+        # the aliased Simpson start fails n = 16 and 64 (ROADMAP item 3)
+        assert any(line.startswith("FAIL") for line in lines) == (n >= 16)
 
     def test_energy_lines_hold_at_large_a(self, capsys):
         assert main(["check", "--a", "1e6", "--n", "3"]) == 0

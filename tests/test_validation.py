@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitphoton import ModeSpec, validation
 from splitphoton.reflection import Quantity
 from splitphoton.snapshot import reflection_snapshot
+from splitphoton.wavestate import eigenmode_pieces, evaluate, split_pieces
 from splitphoton.validation import (
     JUMP_THRESHOLD,
     LocatedJump,
@@ -11,6 +14,7 @@ from splitphoton.validation import (
     identity_suite,
     integrate,
     locate_jumps,
+    norms,
 )
 from splitphoton.snapshot import Snapshot
 
@@ -60,6 +64,56 @@ def test_integrate_breakpoints_restore_accuracy():
     res = integrate(f, 0.0, 1.0, tol=1e-12, breakpoints=[0.3])
     exact = 0.045 + 0.245  # triangle areas on either side of the kink
     assert abs(res.value - exact) < 1e-12
+
+
+def _per_table(mode, tables):
+    """Each table through its own ``integrate`` call with its piece edges as
+    breakpoints: the per-table results and whether any call failed."""
+    results, failed = [], False
+    for pieces in tables:
+        def rho(x, pieces=pieces):
+            e, b = evaluate(pieces, mode.k, x)
+            return e ** 2 + b ** 2
+
+        try:
+            results.append(integrate(rho, min(p.lo for p in pieces), max(p.hi for p in pieces),
+                                     tol=1e-11, breakpoints={e for p in pieces for e in (p.lo, p.hi)}))
+        except QuadratureError as exc:
+            results.append(exc.best)
+            failed = True
+    return results, failed
+
+
+class TestNorms:
+    @settings(max_examples=60, deadline=None)
+    @given(log_a=st.floats(-3.0, 6.0), log_c=st.floats(-3.0, 3.0), n=st.integers(1, 64),
+           draws=st.lists(st.tuples(st.booleans(), st.floats(0.0, 10.0)), min_size=1, max_size=5))
+    def test_matches_one_integrate_call_per_table(self, log_a, log_c, n, draws):
+        mode = ModeSpec(a=10.0**log_a, n=n, c=10.0**log_c)
+        # t in [0, 10a/c], each table the eigenmode or the split state at t
+        tables = [(eigenmode_pieces if eig else split_pieces)(mode, u * mode.a / mode.c)
+                  for eig, u in draws]
+        expected, failed = _per_table(mode, tables)
+        if failed:  # the error's best estimate is one entry per segment
+            with pytest.raises(QuadratureError) as exc:
+                norms(mode, tables)
+            assert exc.value.best.evaluations == sum(q.evaluations for q in expected)
+            return
+        got = norms(mode, tables)
+        assert got.value.tolist() == [float(q.value) for q in expected]
+        assert got.est_error.tolist() == [float(q.est_error) for q in expected]
+        assert got.evaluations == sum(q.evaluations for q in expected)
+
+    def test_cut_at_inner_edges_in_one_call(self, monkeypatch):
+        # at t = 0.2 the pulses [-0.2, 0.8] and [0.2, 1.2] overlap, at t = 5 the gap
+        # [-4, 5] between them is a segment too: seven segments, one call
+        mode, calls = ModeSpec(), []
+        monkeypatch.setattr(validation, "integrate",
+                            lambda f, lo, hi, **kw: calls.append((lo, hi)) or integrate(f, lo, hi, **kw))
+        tables = [eigenmode_pieces(mode, 0.35), split_pieces(mode, 0.2), split_pieces(mode, 5.0)]
+        q = norms(mode, tables)
+        assert calls == [([0.0, -0.2, 0.2, 0.8, -5.0, -4.0, 5.0], [1.0, 0.2, 0.8, 1.2, -4.0, 5.0, 6.0])]
+        assert np.abs(q.value - 1.0).max() < 1e-12
 
 
 def test_locate_jumps_on_reflection_snapshot():
