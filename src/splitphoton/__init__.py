@@ -16,25 +16,10 @@ from .experiments import (
     crossing_events,
     run,
 )
-from .reflection import (
-    DiscontinuityRecord,
-    EnergyLedger,
-    discontinuities,
-    energy_ledger,
-    reflect_field,
-)
+from .reflection import EnergyLedger, energy_ledger, reflect_field
 from .scenario import ScenarioError, parse_scenario, serialize_scenario
 from .snapshot import Snapshot, free_snapshot, reflection_snapshot
 from .validation import LocatedJump, QuadResult, identity_suite, integrate, locate_jumps
-from .wavestate import (
-    FieldSample,
-    ModeSpec,
-    RangeReport,
-    boundary_check,
-    eigenmode,
-    mirror_timing,
-    nonlocality_range,
-    split_state,
-)
+from .wavestate import FieldSample, ModeSpec, boundary_check, eigenmode, split_state
 
 __version__ = "0.1.0"

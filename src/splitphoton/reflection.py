@@ -11,7 +11,8 @@ At every s the field is the incident pulse, cut at the mirror, plus its mirror
 image (``reflection_pieces``); where both are, they add up to the standing wave
 (SW), and the rest is one running wave (RW).  ``domain_edges`` gives the far edge
 and the RW/SW border -min(s, a - s), where the co-moving inner derivative
-discontinuities sit.
+discontinuities sit; ``wavestate.limits`` of the table's ``derivative`` there
+gives their sizes.
 
 Field values carry the 1/sqrt(a) prefactor so that E^2 + B^2 integrates
 to 1 over the instantaneous support.  The energy ledger is reported in
@@ -22,44 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .wavestate import ArrayLike, FieldSample, ModeSpec, Piece, derivative, evaluate, limits
+from .wavestate import ArrayLike, FieldSample, ModeSpec, Piece, evaluate
 
 __all__ = [
-    "Quantity",
-    "JumpKind",
-    "DiscontinuityRecord",
     "EnergyLedger",
     "reflection_pieces",
     "domain_edges",
     "reflect_field",
-    "discontinuities",
     "energy_ledger",
 ]
-
-
-class Quantity(str, Enum):
-    E_VALUE = "E_value"
-    B_VALUE = "B_value"
-    DE_DX = "dE_dx"
-    DB_DX = "dB_dx"
-
-
-class JumpKind(str, Enum):
-    EDGE = "edge"
-    INNER = "inner"
-    MIRROR_SURFACE = "mirror_surface"
-
-
-@dataclass(frozen=True)
-class DiscontinuityRecord:
-    location: float
-    quantity: Quantity
-    jump: float  # right-side minus left-side limit, prefactor included
-    kind: JumpKind
 
 
 @dataclass(frozen=True)
@@ -119,36 +94,6 @@ def reflect_field(mode: ModeSpec, s: ArrayLike, x: ArrayLike) -> FieldSample:
     A column of s, shape (rows, 1), against x of shape (rows, m) gives row i at s[i].
     """
     return evaluate(reflection_pieces(mode, s), mode.k, x)
-
-
-def discontinuities(mode: ModeSpec, s: float) -> list[DiscontinuityRecord]:
-    """All instantaneous discontinuity records at moment s.
-
-    For 0 < s < a there are the two co-located inner derivative jumps at
-    -min(s, a-s), derivative kinks at the far (moving) edge, and the
-    B-value jump at the mirror surface.  At s in {0, a} only the edge and
-    mirror records remain.  Each jump is the right limit minus the left
-    limit at a piece endpoint.
-    """
-    pieces = reflection_pieces(mode, s)
-    far_edge, border = domain_edges(mode, s)
-    k = mode.k
-    slopes = derivative(pieces, k)
-    records: list[DiscontinuityRecord] = []
-
-    def slope_jumps(x: float, kind: JumpKind) -> None:
-        left, right = limits(slopes, k, x)
-        records.append(DiscontinuityRecord(x, Quantity.DE_DX, right.E - left.E, kind))
-        records.append(DiscontinuityRecord(x, Quantity.DB_DX, right.B - left.B, kind))
-
-    if 0.0 < s < mode.a:
-        slope_jumps(border, JumpKind.INNER)
-    slope_jumps(far_edge, JumpKind.EDGE)
-    # Surface current on the mirror: B jumps from its x -> 0- value to zero.
-    left, right = limits(pieces, k, 0.0)
-    records.append(DiscontinuityRecord(0.0, Quantity.B_VALUE, right.B - left.B,
-                                       JumpKind.MIRROR_SURFACE))
-    return records
 
 
 def energy_ledger(mode: ModeSpec, s: ArrayLike) -> EnergyLedger:

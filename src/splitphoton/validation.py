@@ -7,18 +7,19 @@ These routines deliberately avoid the closed-form energy expressions in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import reflection, wavestate
-from .reflection import Quantity
 from .snapshot import Snapshot
 from .wavestate import ArrayLike, ModeSpec, Piece
 
 __all__ = [
     "QuadResult",
     "QuadratureError",
+    "Quantity",
     "LocatedJump",
     "integrate",
     "norms",
@@ -49,6 +50,11 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, best: QuadResult):
         super().__init__(message)
         self.best = best
+
+
+class Quantity(str, Enum):
+    DE_DX = "dE_dx"
+    DB_DX = "dB_dx"
 
 
 @dataclass(frozen=True)

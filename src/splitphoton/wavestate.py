@@ -1,8 +1,7 @@
 """Analytic state of a single photon released from a Fabry-Perot cavity.
 
-Covers the trapped standing-wave eigenmode, the post-release pair of
-counter-propagating length-``a`` pulses, and the kinematic bookkeeping
-(non-locality range, mirror timing).  Everything is closed-form.  When an
+Covers the trapped standing-wave eigenmode and the post-release pair of
+counter-propagating length-``a`` pulses.  Everything is closed-form.  When an
 instrument of a scenario meets which part of the pulse is not worked out
 here: ``experiments.crossing_events`` is the one table of those times.
 
@@ -31,7 +30,6 @@ __all__ = [
     "ModeSpec",
     "FieldSample",
     "Piece",
-    "RangeReport",
     "evaluate",
     "derivative",
     "limits",
@@ -42,8 +40,6 @@ __all__ = [
     "eigenmode",
     "boundary_check",
     "split_state",
-    "nonlocality_range",
-    "mirror_timing",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -87,12 +83,6 @@ class ModeSpec:
 class FieldSample(NamedTuple):
     E: ArrayLike
     B: ArrayLike
-
-
-class RangeReport(NamedTuple):
-    t: float
-    S: float
-    centers_gap: float
 
 
 class Piece(NamedTuple):
@@ -232,27 +222,3 @@ def split_state(mode: ModeSpec, x: ArrayLike, t: float) -> FieldSample:
     on [ct, a - ct] (everywhere at t = 0) and stays normalized for all t.
     """
     return evaluate(split_pieces(mode, t), mode.k, x)
-
-
-def nonlocality_range(a: float, c: float, t: float) -> RangeReport:
-    """Distance between the extreme edges of the free split state, 2ct + a."""
-    if a <= 0 or c <= 0:
-        raise ValueError("a and c must be positive")
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    gap = 2.0 * c * t
-    return RangeReport(t=t, S=gap + a, centers_gap=gap)
-
-
-def mirror_timing(a: float, c: float, D: float) -> tuple[float, float]:
-    """Maximal non-locality range 2D + a and the moment (2D + a)/(2c) it is reached.
-
-    Requires the mirror farther than one pulse length, D > a.
-    """
-    if a <= 0 or c <= 0:
-        raise ValueError("a and c must be positive")
-    if D <= a:
-        raise ValueError("mirror distance must exceed pulse length")
-    s_max = 2.0 * D + a
-    return s_max, s_max / (2.0 * c)
-

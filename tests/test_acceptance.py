@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
-from splitphoton import ModeSpec, mirror_timing, split_state
+from splitphoton import ModeSpec, split_state
 from splitphoton.experiments import (
     Branch,
     Instrument,
@@ -361,11 +361,14 @@ def test_criterion_8_gun_scatter_statistics():
 
 
 def test_criterion_9_timing_formulas():
-    assert mirror_timing(1.0, 1.0, 5.0) == (11.0, 5.5)
-
     def event(instrument, branch):
         sc = Scenario(mode=ModeSpec(), mirror_distance=5.0, instruments=[instrument])
         return next(ev for ev in crossing_events(sc) if ev.branch is branch)
+
+    # the reflection ends at (2D + a)/(2c) = 5.5, when the left half-self meets a
+    # detector at -(D + a) and starts to lead the one-way pair
+    assert event(detector("D", -6.0), Branch.LEADING_PULSE).t_start == 5.5
+    assert event(detector("D", -5.99), Branch.LEFT).t_start < 5.5
 
     # hand substitution: reflection lasts one pulse-transit ending at t_D, shots
     # in [4.5, 5.5] meet the pieces at the mirror
@@ -380,6 +383,6 @@ def test_criterion_9_timing_formulas():
     # empty at S = 0.5: a detector at 0.4 starts inside the initial pulse
     assert event(detector("D", 0.4, 0.0), Branch.RIGHT).frac_lo > 0.0
     _passed(
-        "criterion 9: timing formulas exact (mirror_timing(1,1,5) = (11, 5.5); "
+        "criterion 9: timing formulas exact (reflection ends at (2D + a)/(2c) = 5.5; "
         "windows (4.5,5.5), (2.5,3.5), (0,2.5), empty)"
     )

@@ -1,13 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitphoton import ModeSpec
 from splitphoton.reflection import (
-    JumpKind,
-    Quantity,
-    discontinuities,
     domain_edges,
     energy_ledger,
     reflect_field,
@@ -240,10 +239,25 @@ class TestCumulative:
         assert cumulative(pieces, MODE.k, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
+@st.composite
+def _moving_moments(draw):
+    """(n, a, s) with 0 < s < a and s != a/2, where no piece has zero width."""
+    a = draw(st.floats(1e-3, 1e6))
+    s = draw(st.floats(0.0, a, exclude_min=True, exclude_max=True).filter(lambda s: s != a / 2))
+    return draw(st.integers(1, 200)), a, s
+
+
+def _jumps(pieces, k, x):
+    """Right minus left limits at x: (dE/dx, dB/dx) of the table's derivative, and B."""
+    left, right = limits(derivative(pieces, k), k, x)
+    b_left, b_right = limits(pieces, k, x)
+    return right.E - left.E, right.B - left.B, b_right.B - b_left.B
+
+
 class TestDiscontinuities:
     def test_inner_location_out_and_back(self):
-        assert discontinuities(MODE, 0.25)[0].location == -0.25
-        assert discontinuities(MODE, 0.75)[0].location == pytest.approx(-0.25)
+        assert _border(1.0, 0.25) == -0.25
+        assert _border(1.0, 0.75) == pytest.approx(-0.25)
         assert _border(1.0, 0.01) == -0.01
         assert _border(1.0, 0.99) == pytest.approx(-0.01)
 
@@ -254,19 +268,66 @@ class TestDiscontinuities:
 
     def test_inner_jump_magnitudes(self):
         # one-sided slope difference is exactly k for either field
-        records = discontinuities(MODE, 0.25)
-        inner = {r.quantity: r for r in records if r.kind is JumpKind.INNER}
-        assert inner[Quantity.DE_DX].jump == pytest.approx(-np.pi, abs=1e-12)
-        assert inner[Quantity.DB_DX].jump == pytest.approx(np.pi, abs=1e-12)
+        de, db, _ = _jumps(reflection_pieces(MODE, 0.25), MODE.k, _border(1.0, 0.25))
+        assert de == pytest.approx(-np.pi, abs=1e-12)
+        assert db == pytest.approx(np.pi, abs=1e-12)
 
     @pytest.mark.parametrize("a", [1e-3, 1e3, 1e6])
     def test_inner_jump_magnitudes_scale_with_a(self, a):
         # the jumps are -+k/sqrt(a) = -+pi a^(-3/2) for n = 1, at any length
-        records = discontinuities(ModeSpec(a=a), a / 4)
-        inner = {r.quantity: r for r in records if r.kind is JumpKind.INNER}
+        mode = ModeSpec(a=a)
+        de, db, _ = _jumps(reflection_pieces(mode, a / 4), mode.k, _border(a, a / 4))
         scale = np.pi * a ** -1.5
-        assert inner[Quantity.DE_DX].jump == pytest.approx(-scale, rel=1e-12, abs=0.0)
-        assert inner[Quantity.DB_DX].jump == pytest.approx(scale, rel=1e-12, abs=0.0)
+        assert de == pytest.approx(-scale, rel=1e-12, abs=0.0)
+        assert db == pytest.approx(scale, rel=1e-12, abs=0.0)
+
+    def test_record_inventory(self):
+        # at s = 0.3 the table jumps at three points: the slopes at the far edge
+        # and at the inner border -0.3, the only piece edge inside the support,
+        # and B at the mirror
+        pieces = reflection_pieces(MODE, 0.3)
+        edges = {float(x) for p in pieces for x in (p.lo, p.hi)}
+        assert sorted(edges) == pytest.approx([-0.7, -0.3, 0.0])
+        assert {x for x in edges if -0.7 < x < 0.0} == {-0.3}
+        for x in (-0.7, -0.3):
+            de, db, _ = _jumps(pieces, MODE.k, x)
+            assert abs(de) > 1.0 and abs(db) > 1.0
+        assert abs(_jumps(pieces, MODE.k, 0.0)[2]) > 1.0
+
+    def test_mirror_surface_b_jump(self):
+        b = _jumps(reflection_pieces(MODE, 0.25), MODE.k, 0.0)[2]
+        assert abs(b) == pytest.approx(2.0 * np.sin(np.pi * 0.25), abs=1e-12)
+
+    def test_degenerate_endpoints_have_no_inner(self):
+        # at s in {0, a} the border is the mirror: no piece edge lies inside (-a, 0)
+        for s in (0.0, 1.0):
+            assert _border(1.0, s) == 0.0
+            edges = {float(x) for p in reflection_pieces(MODE, s) for x in (p.lo, p.hi)}
+            assert edges == {-1.0, 0.0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(_moving_moments())
+    @example((3, 1.0, 0.3))
+    @example((3, 1.0, 0.7))
+    def test_moving_jumps_are_conserved(self, moment):
+        # the slope jumps ride their running waves: one at s - a with B = +E
+        # (x - ct), one at -s with B = -E (x + ct); they move out from the mirror,
+        # pass through each other at s = a/2, where far edge and border swap, and
+        # keep their size k/sqrt(a) throughout, exactly as the pieces give them
+        n, a, s = moment
+        mode = ModeSpec(a=a, n=n)
+        k, size = mode.k, mode.k / math.sqrt(a)
+        pieces = reflection_pieces(mode, s)
+        assert sorted(domain_edges(mode, s)) == sorted([s - a, -s])
+        right_mover = -(-1) ** n * size
+        de, db, _ = _jumps(pieces, k, s - a)
+        assert (de, db) == pytest.approx((right_mover, right_mover), rel=1e-12, abs=0.0)
+        de, db, _ = _jumps(pieces, k, -s)
+        assert (de, db) == pytest.approx((-size, size), rel=1e-12, abs=0.0)
+        # the mirror's surface current: B falls from its x -> 0- value to zero
+        # (abs: a subnormal s gives a subnormal jump, with fewer digits)
+        b = _jumps(pieces, k, 0.0)[2]
+        assert b == pytest.approx(-2.0 * math.sin(k * s) / math.sqrt(a), rel=1e-12, abs=1e-300)
 
     def test_inner_sides_match_quoted_derivatives(self):
         # at s = a/4 the E-slope is 0 on the RW side and -pi on the SW side
@@ -277,49 +338,24 @@ class TestDiscontinuities:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
-    def test_degenerate_moment_records(self, s, n):
+    def test_degenerate_moment_jumps(self, s, n):
         # zero-width pieces supply no one-sided limit: RW at s = a/2, SW at s in {0, a}
-        k = n * np.pi
-        de, db, b = Quantity.DE_DX, Quantity.DB_DX, Quantity.B_VALUE
-        if s == 0.0:
-            slope = -k * np.cos(k)
-            expected = [(-1.0, de, slope, JumpKind.EDGE), (-1.0, db, slope, JumpKind.EDGE)]
-            mirror = 0.0
-        elif s == 1.0:
-            expected = [(-1.0, de, -k, JumpKind.EDGE), (-1.0, db, k, JumpKind.EDGE)]
-            mirror = 0.0
-        else:
-            de_jump, db_jump = -2.0 * k * np.cos(k / 2) ** 2, 2.0 * k * np.sin(k / 2) ** 2
-            expected = [
-                (-0.5, de, de_jump, JumpKind.INNER), (-0.5, db, db_jump, JumpKind.INNER),
-                (-0.5, de, de_jump, JumpKind.EDGE), (-0.5, db, db_jump, JumpKind.EDGE),
-            ]
+        mode = ModeSpec(n=n)
+        k = mode.k
+        far, border = domain_edges(mode, s)
+        if s == 0.5:
+            # the RW is a point: both slope jumps sit on it, and add
+            assert far == border == -0.5
+            expected = (-2.0 * k * np.cos(k / 2) ** 2, 2.0 * k * np.sin(k / 2) ** 2)
             mirror = -2.0 * np.sin(k / 2)
-        expected.append((0.0, b, mirror, JumpKind.MIRROR_SURFACE))
-        records = discontinuities(ModeSpec(n=n), s)
-        assert [(r.location, r.quantity, r.kind) for r in records] == [
-            (x, q, kind) for x, q, _, kind in expected
-        ]
-        for rec, (_, _, jump, _) in zip(records, expected):
-            assert rec.jump == pytest.approx(jump, abs=1e-12)
-
-    def test_record_inventory(self):
-        records = discontinuities(MODE, 0.3)
-        kinds = [r.kind for r in records]
-        assert kinds.count(JumpKind.INNER) == 2
-        assert kinds.count(JumpKind.EDGE) == 2
-        assert kinds.count(JumpKind.MIRROR_SURFACE) == 1
-        inner_locs = {r.location for r in records if r.kind is JumpKind.INNER}
-        assert inner_locs == {-0.3}
-
-    def test_mirror_surface_b_jump(self):
-        rec = [r for r in discontinuities(MODE, 0.25) if r.kind is JumpKind.MIRROR_SURFACE][0]
-        assert rec.quantity is Quantity.B_VALUE
-        assert abs(rec.jump) == pytest.approx(2.0 * np.sin(np.pi * 0.25), abs=1e-12)
-
-    def test_degenerate_endpoints_have_no_inner(self):
-        for s in (0.0, 1.0):
-            assert all(r.kind is not JumpKind.INNER for r in discontinuities(MODE, s))
+        else:
+            # the SW is a point on the mirror: the far edge's jump is the only one
+            assert (far, border) == (-1.0, 0.0)
+            expected = (-k * np.cos(k), -k * np.cos(k)) if s == 0.0 else (-k, k)
+            mirror = 0.0
+        pieces = reflection_pieces(mode, s)
+        assert _jumps(pieces, k, far)[:2] == pytest.approx(expected, abs=1e-12)
+        assert _jumps(pieces, k, 0.0)[2] == pytest.approx(mirror, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(s=st.floats(1e-3, 1.0 - 1e-3))

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitphoton import ModeSpec, validation
-from splitphoton.reflection import Quantity
 from splitphoton.snapshot import reflection_snapshot
 from splitphoton.wavestate import eigenmode_pieces, evaluate, split_pieces
 from splitphoton.validation import (
     JUMP_THRESHOLD,
     LocatedJump,
     QuadratureError,
+    Quantity,
     identity_suite,
     integrate,
     locate_jumps,

@@ -2,18 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from splitphoton import (
     ModeSpec,
     boundary_check,
     eigenmode,
-    mirror_timing,
-    nonlocality_range,
     split_state,
     wavestate,
 )
+from splitphoton.experiments import Branch, Instrument, InstrumentKind, Scenario, crossing_events
 from splitphoton.reflection import reflection_pieces
 from splitphoton.validation import integrate
 from splitphoton.wavestate import Piece, cumulative, eigenmode_pieces, evaluate, split_pieces
@@ -347,11 +346,16 @@ class TestPieceTables:
 
 
 class TestKinematics:
-    def test_range_growth(self):
-        assert nonlocality_range(1.0, 1.0, 0.0).S == 1.0
-        assert nonlocality_range(1.0, 1.0, 3.0).S == 7.0
-        rep = nonlocality_range(0.5, 2.0, 1.0)
-        assert rep.S == 4.5 and rep.centers_gap == 4.0
+    # the non-locality range: the free split state's support spans 2ct + a
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.floats(1e-3, 1e3), c=st.floats(1e-2, 1e2), t=st.floats(0.0, 1e3))
+    @example(a=1.0, c=1.0, t=0.0)
+    @example(a=1.0, c=1.0, t=3.0)
+    @example(a=0.5, c=2.0, t=1.0)
+    def test_range_growth(self, a, c, t):
+        pieces = split_pieces(ModeSpec(a=a, c=c), t)
+        span = max(p.hi for p in pieces) - min(p.lo for p in pieces)
+        assert span == pytest.approx(2.0 * c * t + a, rel=1e-15, abs=0.0)
 
     def test_range_matches_field_support(self):
         # measure the support of the sampled state directly
@@ -361,14 +365,21 @@ class TestKinematics:
         e, b = split_state(mode, x, t)
         occupied = x[(np.asarray(e) != 0.0) | (np.asarray(b) != 0.0)]
         measured = occupied.max() - occupied.min()
-        assert measured == pytest.approx(nonlocality_range(0.5, 2.0, t).S, abs=1e-3)
+        assert measured == pytest.approx(2.0 * mode.c * t + mode.a, abs=1e-3)
 
-    def test_mirror_timing_values(self):
-        assert mirror_timing(1.0, 1.0, 5.0) == (11.0, 5.5)
-        assert mirror_timing(2.0, 0.5, 4.0) == (10.0, 10.0)
-        s_m, _ = mirror_timing(1.0, 1.0, 1.0 + 1e-9)
-        assert s_m == pytest.approx(3.0, abs=1e-8)
+    # the maximal range 2D + a: the reflection ends at (2D + a)/(2c), when the
+    # left half-self's leading edge reaches -(D + a), and a detector past both
+    # sees the photon pass over (2D + a)/c
+    @pytest.mark.parametrize(("a", "c", "D", "moment"), [(1.0, 1.0, 5.0, 5.5), (2.0, 0.5, 4.0, 10.0)])
+    def test_mirror_timing(self, a, c, D, moment):
+        def events(position):
+            det = Instrument("D", InstrumentKind.PHOTON_DETECTOR, position)
+            return crossing_events(Scenario(ModeSpec(a=a, c=c), D, instruments=[det]))
 
-    def test_mirror_too_close_rejected(self):
-        with pytest.raises(ValueError):
-            mirror_timing(1.0, 1.0, 0.5)
+        first = events(-(D + a))[0]
+        assert (first.branch, first.t_start) == (Branch.LEADING_PULSE, moment)
+        first = events(-(D + a) + 1e-9)[0]
+        assert first.branch is Branch.LEFT and first.t_start < moment
+        first, last = events(-(D + a) - 2.0)
+        assert (first.branch, last.branch) == (Branch.LEADING_PULSE, Branch.TRAILING_PULSE)
+        assert last.t_end - first.t_start == (2.0 * D + a) / c
