@@ -44,6 +44,8 @@ from .scenario import ScenarioError, load_scenario
 from .snapshot import free_snapshot, reflection_snapshot
 from .wavestate import ModeSpec
 
+__all__ = ["main", "build_parser", "EXIT_OK", "EXIT_USAGE", "EXIT_INVARIANT", "EXIT_BROKEN_PIPE"]
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2

@@ -51,6 +51,9 @@ from typing import Callable
 
 import numpy as np
 
+__all__ = ["WIDTH", "shortest_digits", "g17_digits", "percent_slots", "repr_slots", "g17_slots",
+           "int_width", "int_slots"]
+
 # slot width: the longest repr, "-2.2250738585072014e-308", has 24 bytes, and
 # the longest %.17g, "-2.2250738585072014e-308", as many
 WIDTH = 24

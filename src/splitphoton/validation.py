@@ -147,7 +147,7 @@ def integrate(
     lo: ArrayLike,
     hi: ArrayLike,
     tol: float = DEFAULT_TOL,
-    breakpoints: Iterable[float] = (),
+    breakpoints: Iterable = (),
     max_depth: int = MAX_DEPTH,
     args: Sequence[ArrayLike] = (),
 ) -> QuadResult:
@@ -161,27 +161,32 @@ def integrate(
 
     Array limits ``lo``, ``hi`` are as many integrals, refined together; each
     array in ``args`` (of their shape) reaches ``f`` as a column (rows, 1) of
-    its rows' values, ``f(x, *columns)``.  The result holds each integral's
-    value and error estimate in that shape, and the evaluations of them all.
+    its rows' values, ``f(x, *columns)``.  ``breakpoints`` broadcast alike,
+    their last axis the cuts: (m,) for all, ``lo.shape + (m,)`` one list per
+    integral, each cut at its distinct breakpoints strictly inside it.  The
+    result holds each integral's value and error estimate in that shape, and
+    the evaluations of them all.
 
     Each segment starts at 8 panels (9 nodes) and doubles them per level.  A
     level reuses the previous level's nodes and evaluates only its new
     midpoints, so a segment that stops at level L costs 8 * 2**L + 1
     evaluations, each node once; f sees at most ``ROW_POINTS`` nodes a call.
-    ``QuadratureError`` is raised if any segment misses ``tol`` within
-    ``max_depth`` levels, or stops at a level whose estimate is not finite.
+    ``QuadratureError``, carrying that result, is raised if any segment misses
+    ``tol`` within ``max_depth`` levels, or stops at a level whose estimate is
+    not finite.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    cuts = sorted(float(p) for p in breakpoints)
+    cuts = np.array([*breakpoints], dtype=float)  # sets and generators too
     if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.isfinite(cuts).all()):
         raise ValueError("integration limits and breakpoints must be finite")
     if (lo > hi).any():
         raise ValueError("integration limits must be ordered")
-    # one row per segment: integral i is cut at the breakpoints strictly inside it
+    cuts = np.broadcast_to(cuts, lo.shape + cuts.shape[-1:]).reshape(lo.size, cuts.shape[-1])
+    # one row per segment: integral i is cut at its distinct breakpoints strictly inside it
     owner, seg_lo, seg_hi = [], [], []
-    for i, (a, b) in enumerate(zip(lo.ravel().tolist(), hi.ravel().tolist())):
+    for i, (a, b, row) in enumerate(zip(lo.ravel().tolist(), hi.ravel().tolist(), cuts.tolist())):
         if a < b:
-            edges = [a, *(p for p in cuts if a < p < b), b]
+            edges = [a, *sorted({p for p in row if a < p < b}), b]
             owner += [i] * (len(edges) - 1)
             seg_lo += edges[:-1]
             seg_hi += edges[1:]
@@ -204,27 +209,14 @@ def integrate(
 
 
 def norms(mode: ModeSpec, tables: Sequence[tuple[Piece, ...]]) -> QuadResult:
-    """Each piece table's integral of E^2 + B^2 over its support, all in one
-    ``integrate`` call, to ``tol=1e-11``.
+    """Each piece table's integral of E^2 + B^2 over its support, to ``tol=1e-11``.
 
-    A table is cut at its piece edges strictly inside its support, as
-    ``breakpoints`` would cut it, and each segment is a row whose ``Piece``
-    fields reach ``wavestate.evaluate`` as ``args`` columns; the tables must
-    hold as many pieces each.  Each table's segments are added in order from
-    0.0, so value, error estimate and evaluations are bit for bit those of one
-    ``integrate`` call per table.  A segment that misses ``tol`` raises
-    ``integrate``'s ``QuadratureError`` (its best estimate one entry per
-    segment), and no table's result is returned.
+    One ``integrate`` call, a table an integral: its support the limits, its
+    piece edges the breakpoints, its ``Piece`` fields the ``args`` columns that
+    ``wavestate.evaluate`` reads (as many pieces in each table).  Results are
+    bit for bit one call per table's; a ``QuadratureError`` carries one entry
+    per table.
     """
-    owner, seg_lo, seg_hi = [], [], []
-    for i, pieces in enumerate(tables):
-        a, b = min(p.lo for p in pieces), max(p.hi for p in pieces)
-        if a < b:
-            edges = [a, *sorted({e for p in pieces for e in (p.lo, p.hi) if a < e < b}), b]
-            owner += [i] * (len(edges) - 1)
-            seg_lo += edges[:-1]
-            seg_hi += edges[1:]
-    columns = np.array([[field for p in tables[i] for field in p] for i in owner], dtype=float).T
     width = len(Piece._fields)
 
     def rho(x: np.ndarray, *fields: np.ndarray) -> np.ndarray:
@@ -232,10 +224,10 @@ def norms(mode: ModeSpec, tables: Sequence[tuple[Piece, ...]]) -> QuadResult:
         e, b = wavestate.evaluate(pieces, mode.k, x)
         return e ** 2 + b ** 2
 
-    q = integrate(rho, seg_lo, seg_hi, tol=1e-11, args=columns)
-    # bincount adds each table's segments in order, from 0.0, as ``integrate`` does
-    return QuadResult(np.bincount(owner, q.value, minlength=len(tables)),
-                      np.bincount(owner, q.est_error, minlength=len(tables)), q.evaluations)
+    edges = [[e for p in t for e in (p.lo, p.hi)] for t in tables]
+    columns = np.array([[field for p in t for field in p] for t in tables], dtype=float).T
+    return integrate(rho, [min(e) for e in edges], [max(e) for e in edges], tol=1e-11,
+                     breakpoints=edges, args=columns)
 
 
 def _jumps_in(x: np.ndarray, y: np.ndarray, quantity: Quantity) -> list[list[LocatedJump]]:

@@ -58,10 +58,11 @@ def _reference_segment(f, lo, hi, tol, max_depth):
 
 
 def _reference_integrate(f, lo, hi, tol, breakpoints=(), max_depth=validation.MAX_DEPTH):
-    """Segments one after another; returns (QuadResult, converged)."""
+    """Segments one after another, cut at the distinct breakpoints; returns
+    (QuadResult, converged)."""
     if lo == hi:
         return QuadResult(0.0, 0.0, 0), True
-    cuts = [lo] + sorted(p for p in breakpoints if lo < p < hi) + [hi]
+    cuts = [lo] + sorted({p for p in breakpoints if lo < p < hi}) + [hi]
     total, err_sum, evals, ok_all = 0.0, 0.0, 0, True
     for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
         value, err, n, ok = _reference_segment(f, seg_lo, seg_hi, tol, max_depth)
@@ -108,7 +109,7 @@ class TestIntegrateRows:
     def test_matches_segment_loop(self, name, lo, width, cuts, repeat, tol, max_depth):
         f = INTEGRANDS[name]
         hi = lo + width
-        if repeat and cuts:  # a repeated breakpoint is a zero-width segment
+        if repeat and cuts:  # a repeated breakpoint adds no segment
             cuts = cuts + cuts[:1]
         want, want_ok = _reference_integrate(f, lo, hi, tol, cuts, max_depth)
         got, ok = _outcome(f, lo, hi, tol=tol, breakpoints=cuts, max_depth=max_depth)
@@ -131,17 +132,39 @@ class TestIntegrateRows:
         got, ok = _outcome(INTEGRANDS[name], -0.7, 1.3, tol=1e-11)
         assert ok == want_ok and _same(got, want)
 
-    def test_array_limits_match_one_call_per_integral(self):
+    @pytest.mark.parametrize("cuts", [
+        [0.25],  # shared by every integral
+        [[0.25, 0.75], [-0.5, 2.0], [0.5, 0.5], [2.25, 2.25]],  # one list per integral
+    ])
+    def test_array_limits_match_one_call_per_integral(self, cuts):
         lo = np.array([0.0, -1.0, 0.5, 2.0])
         hi = np.array([1.0, 3.0, 0.5, 2.5])
         w = np.array([1.0, 2.0, 3.0, 40.0])
-        res = integrate(lambda x, w: np.sin(w * x) ** 2, lo, hi, tol=1e-11, breakpoints=[0.25],
+        res = integrate(lambda x, w: np.sin(w * x) ** 2, lo, hi, tol=1e-11, breakpoints=cuts,
                         args=(w,))
-        singles = [integrate(lambda x: np.sin(wi * x) ** 2, a, b, tol=1e-11, breakpoints=[0.25])
-                   for a, b, wi in zip(lo, hi, w)]
+        rows = np.broadcast_to(cuts, lo.shape + np.shape(cuts)[-1:])
+        singles = [integrate(lambda x: np.sin(wi * x) ** 2, a, b, tol=1e-11, breakpoints=row)
+                   for a, b, wi, row in zip(lo, hi, w, rows)]
         assert res.value.tolist() == [q.value for q in singles]
         assert res.est_error.tolist() == [q.est_error for q in singles]
         assert res.evaluations == sum(q.evaluations for q in singles)
+
+    def test_repeated_breakpoint_costs_what_a_single_one_does(self):
+        # a line stops at level 1: two segments of 17 nodes, no zero-width third
+        assert integrate(lambda x: x, 0.0, 1.0, breakpoints=[0.5, 0.5]).evaluations == 2 * 17
+        f = INTEGRANDS["smooth"]
+        once = integrate(f, 0.0, 1.0, tol=1e-11, breakpoints=[0.5])
+        for cuts in ([0.5, 0.5], [0.5, 0.5, 0.5]):
+            assert _same(integrate(f, 0.0, 1.0, tol=1e-11, breakpoints=cuts), once)
+
+    @pytest.mark.parametrize("cuts", [(), [0.25], np.empty((0, 2))])
+    def test_empty_array_limits_give_empty_results(self, cuts):
+        res = integrate(lambda x: x, np.array([]), np.array([]), breakpoints=cuts)
+        assert res.value.shape == res.est_error.shape == (0,) and res.evaluations == 0
+
+    def test_breakpoints_must_broadcast_against_the_limits(self):
+        with pytest.raises(ValueError):
+            integrate(lambda x: x, np.zeros(3), np.ones(3), breakpoints=[[0.5], [0.5]])
 
     @pytest.mark.parametrize("points", [None, 64, 1000, 10**6])
     def test_row_blocks_do_not_change_results(self, monkeypatch, points):

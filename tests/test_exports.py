@@ -1,6 +1,6 @@
-"""The package's public names: each module's ``__all__`` lists only names the
-module has, and the package root re-exports only names its modules list, so a
-removal cannot leave a stale entry behind."""
+"""The package's public names: every module declares ``__all__``, which lists
+only names the module has, and the package root re-exports only names its
+modules list, so a removal cannot leave a stale entry behind."""
 
 import ast
 import importlib
@@ -8,6 +8,12 @@ import pkgutil
 from pathlib import Path
 
 import splitphoton
+
+
+def test_every_module_lists_its_names():
+    unlisted = [info.name for info in pkgutil.iter_modules(splitphoton.__path__)
+                if not hasattr(importlib.import_module(f"splitphoton.{info.name}"), "__all__")]
+    assert unlisted == []
 
 
 def test_every_listed_name_exists():

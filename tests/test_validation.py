@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitphoton import ModeSpec, validation
@@ -88,15 +88,17 @@ class TestNorms:
     @settings(max_examples=60, deadline=None)
     @given(log_a=st.floats(-3.0, 6.0), log_c=st.floats(-3.0, 3.0), n=st.integers(1, 64),
            draws=st.lists(st.tuples(st.booleans(), st.floats(0.0, 10.0)), min_size=1, max_size=5))
+    @example(log_a=0.0, log_c=0.0, n=1, draws=[(False, 0.5)])  # the pulses meet at x = a/2
     def test_matches_one_integrate_call_per_table(self, log_a, log_c, n, draws):
         mode = ModeSpec(a=10.0**log_a, n=n, c=10.0**log_c)
         # t in [0, 10a/c], each table the eigenmode or the split state at t
         tables = [(eigenmode_pieces if eig else split_pieces)(mode, u * mode.a / mode.c)
                   for eig, u in draws]
         expected, failed = _per_table(mode, tables)
-        if failed:  # the error's best estimate is one entry per segment
+        if failed:  # the error's best estimate is one entry per table
             with pytest.raises(QuadratureError) as exc:
                 norms(mode, tables)
+            assert exc.value.best.value.shape == (len(tables),)
             assert exc.value.best.evaluations == sum(q.evaluations for q in expected)
             return
         got = norms(mode, tables)
@@ -105,15 +107,27 @@ class TestNorms:
         assert got.evaluations == sum(q.evaluations for q in expected)
 
     def test_cut_at_inner_edges_in_one_call(self, monkeypatch):
-        # at t = 0.2 the pulses [-0.2, 0.8] and [0.2, 1.2] overlap, at t = 5 the gap
-        # [-4, 5] between them is a segment too: seven segments, one call
-        mode, calls = ModeSpec(), []
+        # one integral per table over its support, cut at its own piece edges: at
+        # t = 0.2 the pulses [-0.2, 0.8] and [0.2, 1.2] overlap, at t = 5 the gap
+        # [-4, 5] between them is a segment too
+        mode, calls, segments, refine = ModeSpec(), [], [], validation._refine
         monkeypatch.setattr(validation, "integrate",
-                            lambda f, lo, hi, **kw: calls.append((lo, hi)) or integrate(f, lo, hi, **kw))
+                            lambda f, lo, hi, **kw: calls.append((lo, hi, kw["breakpoints"]))
+                            or integrate(f, lo, hi, **kw))
+        monkeypatch.setattr(validation, "_refine",
+                            lambda f, lo, hi, *rest: segments.append((lo.tolist(), hi.tolist()))
+                            or refine(f, lo, hi, *rest))
         tables = [eigenmode_pieces(mode, 0.35), split_pieces(mode, 0.2), split_pieces(mode, 5.0)]
         q = norms(mode, tables)
-        assert calls == [([0.0, -0.2, 0.2, 0.8, -5.0, -4.0, 5.0], [1.0, 0.2, 0.8, 1.2, -4.0, 5.0, 6.0])]
+        assert calls == [([0.0, -0.2, -5.0], [1.0, 1.2, 6.0],
+                          [[0.0, 1.0, 0.0, 1.0], [-0.2, 0.8, 0.2, 1.2], [-5.0, -4.0, 5.0, 6.0]])]
+        assert segments == [([0.0, -0.2, 0.2, 0.8, -5.0, -4.0, 5.0],
+                             [1.0, 0.2, 0.8, 1.2, -4.0, 5.0, 6.0])]
         assert np.abs(q.value - 1.0).max() < 1e-12
+
+    def test_no_tables(self):
+        q = norms(ModeSpec(), [])
+        assert q.value.shape == q.est_error.shape == (0,) and q.evaluations == 0
 
 
 def test_locate_jumps_on_reflection_snapshot():
